@@ -10,12 +10,14 @@ Usage:
 
 Outputs land in results/desk_comparison/ (results.csv, timings.csv,
 table.csv, report.txt and one archive CSV per run).  Every run is seeded, so
-repeating the script reproduces results.csv byte for byte.
+repeating the script reproduces results.csv byte for byte.  The exit status is
+1 when any run failed.
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from pathlib import Path
 
@@ -39,7 +41,7 @@ QUICK_GENERATIONS = 10
 QUICK_REPLICATIONS = 5
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="smaller budget and fewer replications")
     parser.add_argument("--out", type=Path, default=OUT_DIR, help="output directory")
@@ -74,7 +76,8 @@ def main() -> None:
     print()
     print(outcome.report)
     print(f"report: {outcome.report_path}")
+    return 1 if outcome.failures else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

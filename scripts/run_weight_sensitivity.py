@@ -11,12 +11,14 @@ Usage:
     python3 scripts/run_weight_sensitivity.py --quick    # fewer seeds (~8 min)
 
 Outputs land in results/weight_sensitivity/<label>/ for the two weight
-budgets; each study writes results.csv, table.csv and report.txt.
+budgets; each study writes results.csv, table.csv and report.txt.  Failed runs
+are listed and the exit status is 1 (no summary is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import sys
 import time
 from collections import defaultdict
 from pathlib import Path
@@ -49,7 +51,7 @@ STUDIES = (
 )
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="fewer replications")
     parser.add_argument("--out", type=Path, default=OUT_DIR, help="output directory")
@@ -63,6 +65,7 @@ def main() -> None:
     print(f"instance: {N_ROWS} rows x {N_COLS} columns, 2 objectives, seed {INSTANCE_SEED}")
 
     means: dict[str, dict[str, float]] = {}
+    failed = 0
     for label, kwargs in STUDIES:
         plan = ExperimentPlan(
             problem="moscp",
@@ -78,6 +81,9 @@ def main() -> None:
         outcome = run_experiment(plan)
         print(f"  {len(outcome.records)} runs in {time.time() - started:.0f}s "
               f"({len(outcome.failures)} failures)")
+        for f in outcome.failures:
+            print(f"  FAILED {f.method} seed {f.seed}: {f.error}")
+        failed += len(outcome.failures)
         acc = defaultdict(list)
         for rec in outcome.records:
             acc[rec.method].append(rec.R)
@@ -85,6 +91,9 @@ def main() -> None:
         for m in sorted(means[label]):
             print(f"  {m:8s} mean R {means[label][m]:.6g} (sd {np.std(acc[m]):.3g})")
 
+    if failed:
+        print(f"\n{failed} runs failed; no summary. reports under: {args.out}")
+        return 1
     first, second = (means[label] for label, _ in STUDIES)
     print("\nsummary:")
     print(f"  moead mean R: {first['moead']:.6g} -> {second['moead']:.6g} "
@@ -94,7 +103,8 @@ def main() -> None:
     print(f"  umogls/mogls gap: {gap_first:.6g} -> {gap_second:.6g} "
           f"({'narrower' if gap_second < gap_first else 'wider'} with more weights)")
     print(f"\nreports under: {args.out}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -8,6 +8,7 @@ objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -82,7 +83,12 @@ def random_tour(instance: TspInstance, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CandidateLists:
-    """Per-city candidate neighbors; symmetric by construction."""
+    """Per-city candidate neighbors; symmetric when built from tours.
+
+    2-opt reads the lists as a directed boolean matrix (`mask`): `matrix()`
+    builds it on first use and the lists keep it, so a run that shares one
+    `CandidateLists` across its local searches builds it once.
+    """
 
     members: tuple[frozenset[int], ...]
 
@@ -92,6 +98,13 @@ class CandidateLists:
         for a, cands in enumerate(self.members):
             for b in cands:
                 m[a, b] = True
+        return m
+
+    @cached_property
+    def mask(self) -> np.ndarray:
+        """`matrix()`, built once and read-only."""
+        m = self.matrix()
+        m.setflags(write=False)
         return m
 
 
@@ -113,12 +126,30 @@ def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
     return CandidateLists(tuple(frozenset(s) for s in sets))
 
 
-def _pair_mask(n: int) -> np.ndarray:
-    """Valid 2-opt position pairs (i, k): nonadjacent edges, upper triangle."""
+@lru_cache(maxsize=16)
+def _invalid_pairs(n: int) -> np.ndarray:
+    """2-opt position pairs (i, k) that are no move: k < i + 2, or the two
+    edges share a city; read-only, one array per n."""
     i = np.arange(n)
-    mask = (i[None, :] - i[:, None]) >= 2
-    mask[0, n - 1] = False  # edges (t[0],t[1]) and (t[n-1],t[0]) share city t[0]
-    return mask
+    bad = (i[None, :] - i[:, None]) < 2
+    bad[0, n - 1] = True  # edges (t[0],t[1]) and (t[n-1],t[0]) share city t[0]
+    bad.setflags(write=False)
+    return bad
+
+
+def _exchange_deltas(p: np.ndarray) -> np.ndarray:
+    """Change of an edge weight sum under every 2-opt exchange (i, k).
+
+    `p` is the weight matrix permuted by the closed tour te (te[n] = te[0]):
+    p[i, k] = m[te[i], te[k]].  The exchange adds edges <te[i],te[k]> and
+    <te[i+1],te[k+1]> and removes <te[i],te[i+1]> and <te[k],te[k+1]>; the
+    terms are summed in that order.
+    """
+    removed = np.diagonal(p, 1)
+    d = p[:-1, :-1] + p[1:, 1:]
+    d -= removed[:, None]
+    d -= removed[None, :]
+    return d
 
 
 def two_opt_local_search(
@@ -134,14 +165,23 @@ def two_opt_local_search(
     first new edge <a,c> has c in cand(a) or whose second <b,d> has d in
     cand(b), when candidate lists are given), applies the best strictly
     improving exchange, and stops at a local optimum.
+
+    A step gathers each weight matrix once, permuted into tour order, and
+    reads every exchange's delta from it; the candidate mask comes from
+    `CandidateLists.mask`, built once per lists object, and is permuted the
+    same way.  Among equal best moves the lowest position pair (i, k) in
+    row-major order wins.
     """
-    t = _check_tour(instance, tour).copy()
+    t = _check_tour(instance, tour)
     n = instance.n
-    bad_pairs = ~_pair_mask(n)
-    cand = candidates.matrix() if candidates is not None else None
-    nxt = np.empty_like(t)
-    nxt[:-1], nxt[-1] = t[1:], t[0]
-    point = np.array([c[t, nxt].sum() for c in instance.costs], dtype=np.int64)
+    te = np.empty(n + 1, dtype=np.int64)  # closed tour: te[n] == te[0]
+    te[:n], te[n] = t, t[0]
+    t = te[:n]
+    if candidates is not None and len(candidates.members) != n:
+        raise ValueError(f"candidate lists cover {len(candidates.members)} cities, the instance has {n}")
+    invalid = _invalid_pairs(n)
+    cand = candidates.mask if candidates is not None else None
+    point = np.array([c[t, te[1:]].sum() for c in instance.costs], dtype=np.int64)
     value = scalarizer(point)
     if value_trace is not None:
         value_trace.append(value)
@@ -150,48 +190,36 @@ def two_opt_local_search(
     if plain:
         w = sum(float(l) * c for l, c in zip(scalarizer.weights, instance.costs))
     while True:
-        nxt[:-1], nxt[-1] = t[1:], t[0]
-        ti, tk = t[:, None], t[None, :]
-        ni, nk = nxt[:, None], nxt[None, :]
         if plain:
-            removed = w[t, nxt]
-            cand_vals = w[ti, tk]
-            cand_vals += w[ni, nk]
-            cand_vals -= removed[:, None]
-            cand_vals -= removed[None, :]
+            cand_vals = _exchange_deltas(w[te][:, te])
             cand_vals += value
         else:
             deltas = np.empty((n, n, len(instance.costs)), dtype=np.int64)
             for j, c in enumerate(instance.costs):
-                rem = c[t, nxt]
-                d = c[ti, tk]
-                d += c[ni, nk]
-                d -= rem[:, None]
-                d -= rem[None, :]
-                deltas[:, :, j] = d
+                deltas[:, :, j] = _exchange_deltas(c[te][:, te])
             cand_vals = scalarizer.value(point[None, None, :] + deltas)
         if cand is None:
-            cand_vals[bad_pairs] = np.inf
+            cand_vals[invalid] = np.inf
         else:
-            ok = cand[ti, tk]
-            ok |= cand[ni, nk]
-            cand_vals[bad_pairs | ~ok] = np.inf
+            ok = cand[te][:, te]
+            excluded = ~(ok[:-1, :-1] | ok[1:, 1:])
+            excluded |= invalid
+            cand_vals[excluded] = np.inf
         flat = int(np.argmin(cand_vals))
         i, k = divmod(flat, n)
         best = cand_vals[i, k]
         if not best < value - IMPROVEMENT_EPS:
             break
-        t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]
+        t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]  # t[0] never moves, so te[n] stays equal to it
         if plain:
             # resync the exact integer objective point after the reversal
-            nxt[:-1], nxt[-1] = t[1:], t[0]
-            point = np.array([c[t, nxt].sum() for c in instance.costs], dtype=np.int64)
+            point = np.array([c[t, te[1:]].sum() for c in instance.costs], dtype=np.int64)
         else:
             point = point + deltas[i, k]
         value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)
-    return t
+    return t.copy()
 
 
 def _edge_set(tour: np.ndarray) -> set[tuple[int, int]]:

@@ -1,6 +1,8 @@
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -173,10 +175,25 @@ def test_unknown_command_exits_nonzero():
     assert exc.value.code != 0
 
 
+def console_script(name):
+    """Command for console script `name`: the installed executable, or, when
+    none is on PATH, the entry point `[project.scripts]` declares for it,
+    called by this interpreter the way the generated script calls it."""
+    executable = shutil.which(name)
+    if executable is not None:
+        return [executable]
+    import tomllib
+
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text())["project"]["scripts"][name]
+    module, attr = target.split(":")
+    return [sys.executable, "-c", f"import sys; from {module} import {attr}; sys.exit({attr}())"]
+
+
 def test_console_script_runs(tsp_files, tmp_path):
     result = subprocess.run(
         [
-            "moscal", "run", "--problem", "mstsp", "--method", "mogls",
+            *console_script("moscal"), "run", "--problem", "mstsp", "--method", "mogls",
             "--instance", *tsp_files,
             "--generations", "1", "--weights", "4", "--seed", "9",
             "--out", str(tmp_path / "sub.csv"),

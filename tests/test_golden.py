@@ -1,0 +1,123 @@
+"""Golden digests: seeded runs must reproduce their archives byte for byte.
+
+Each case runs one small `run_experiment` (all four methods, one seed) and
+compares the sha256 of every archive CSV and of `results.csv` with the
+digests recorded below.  A change that alters any of them changes the
+trajectory of a search and must say why; regenerate the table with
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from moscal.experiment import ExperimentPlan, run_experiment
+from moscal.instances import generate_instance
+from moscal.scalarizing import ScalarizerSpec
+
+# case -> (instance files to generate, plan overrides)
+CASES = {
+    "mstsp2": (
+        [("euclidean", dict(n=30))],
+        dict(problem="mstsp", generations=2, weight_count=10),
+    ),
+    "mstsp2-chebycheff": (
+        [("euclidean", dict(n=30))],
+        dict(problem="mstsp", generations=2, weight_count=10, scalarizer=ScalarizerSpec("chebycheff")),
+    ),
+    "mstsp3": (
+        [("euclidean", dict(n=20, objectives=3))],
+        dict(problem="mstsp", generations=2, weight_count=10),
+    ),
+    "tspwp": (
+        [("euclidean", dict(n=30, objectives=1)), ("profits", dict(n=30))],
+        dict(problem="tspwp", generations=2, weight_count=10),
+    ),
+    "moscp2": (
+        [("scp", dict(rows=40, cols=120))],
+        dict(problem="moscp", generations=2, weight_count=10),
+    ),
+}
+
+GOLDEN: dict[str, dict[str, str]] = {
+    "moscp2": {
+        "results.csv": "b57284202bdb19eb8a20a44acce1c81e2349686410e4297771e75189c7fc1ac6",
+        "archives/moead_moscp2_5.csv": "e698df388195d3758704a27e9fd4d9a7b2f39982d85a9bd9ea099b9890b793ac",
+        "archives/mogls_moscp2_5.csv": "aa038b66b9bbae7418181f0954ba664589451032733f8fa9baff3bc1fe4cbab1",
+        "archives/momsls_moscp2_5.csv": "2052fc315de0ce694eaaec77cb90c5db9cea84dcfd02f4f94b299be4926b1258",
+        "archives/umogls_moscp2_5.csv": "e698df388195d3758704a27e9fd4d9a7b2f39982d85a9bd9ea099b9890b793ac",
+    },
+    "mstsp2": {
+        "results.csv": "1007a77617a96ed79bad91bce47c2b369cae510636262a7debd952778f7633fc",
+        "archives/moead_mstsp2_5.csv": "39ed95ee33d890a6027d9541d8b9d51881568af3451fd06e78c2d8406c9e63dd",
+        "archives/mogls_mstsp2_5.csv": "4028448bdd66c04d0520c95ce3e7de491e2a39fa9d31d72f01a0bf6ad3b54e88",
+        "archives/momsls_mstsp2_5.csv": "db407e32698985c7e9d69af4ee036fb130d59b93c889bcbd6609d82fab505df6",
+        "archives/umogls_mstsp2_5.csv": "817d40bc79d3be60edf36f68a9d36b41fe2559596b42c9f8d8229978ce7df184",
+    },
+    "mstsp2-chebycheff": {
+        "results.csv": "ed7016eb828bb4a2d943e63c553229e123b961b9641dcec75d4424abec6a29c5",
+        "archives/moead_mstsp2-chebycheff_5.csv": "954627862b6534360067ef5c11e43aa3105941d808e4547dbf7c6b45a418b3c8",
+        "archives/mogls_mstsp2-chebycheff_5.csv": "c6cdab9a1d5206bb9f70c7aeb9abb77a035383d45dee96271ba022fcdbbef78b",
+        "archives/momsls_mstsp2-chebycheff_5.csv": "b953201133d37b5ef36261162d21b93d86a0707cddcbb8984d984df946886a17",
+        "archives/umogls_mstsp2-chebycheff_5.csv": "3a00f08dde0bf4c6e9179a8f2bef580d7b68265e19c853209b04db7ca870b3c9",
+    },
+    "mstsp3": {
+        "results.csv": "0fcc06b1735dbb66ad7305be77b7b098116c692fe5c2ef1fba49b97101fea2d7",
+        "archives/moead_mstsp3_5.csv": "dd135033b8a35980060f6b732cff28923b536a1416c863c96d86937200b284b1",
+        "archives/mogls_mstsp3_5.csv": "01adfc64ee57e099eacf895e180b2ed39ede6dba13d9021e27df807df5a9c730",
+        "archives/momsls_mstsp3_5.csv": "6d82c36f245ea462f940326953f6bc5c731dacaef5512086dab11f1dac743275",
+        "archives/umogls_mstsp3_5.csv": "03ff68b7ad640407efb73fa914fe16419a083088057447b40538417ddb294af8",
+    },
+    "tspwp": {
+        "results.csv": "e9976d071645ece4c9d12acc0a03b17def0642a61a5192bf0d1b2482741bc714",
+        "archives/moead_tspwp_5.csv": "319e1d60e2c53f93a3e2500390d523d8a56e3d40157de234c4f05dd67def46b5",
+        "archives/mogls_tspwp_5.csv": "8d89bf49341376dd1bcd88472b97647533a76005c476b597501e71072a52728a",
+        "archives/momsls_tspwp_5.csv": "5488821d12906eb2d3afc407b84172205cc883ac564e4d152861df580efb552d",
+        "archives/umogls_tspwp_5.csv": "6a5f1f864fa13ca538c02776810330b0f4348539476a31099985128d52ba8fef",
+    },
+}
+
+
+def run_case(name: str, root: Path) -> dict[str, str]:
+    """sha256 of results.csv and of every archive CSV of one case."""
+    files, overrides = CASES[name]
+    paths = []
+    for i, (kind, params) in enumerate(files):
+        paths += generate_instance(kind, root / f"inst{i}", seed=11 + i, **params)
+    plan = ExperimentPlan(
+        instance_paths=tuple(str(p) for p in paths),
+        output_dir=str(root / "out"),
+        neighborhood_size=4,
+        replications=1,
+        seed_base=5,
+        instance_name=name,
+        **overrides,
+    )
+    outcome = run_experiment(plan)
+    assert not outcome.failures, outcome.report
+    out = root / "out"
+    files_to_hash = [outcome.results_csv, *sorted(outcome.archive_dir.glob("*.csv"))]
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest() for p in files_to_hash}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_digests(name, tmp_path):
+    assert run_case(name, tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {name: run_case(name, Path(tmp) / name) for name in sorted(CASES)}
+    sys.stdout.write("GOLDEN = {\n")
+    for name, digests in table.items():
+        sys.stdout.write(f'    "{name}": {{\n')
+        for path, digest in digests.items():
+            sys.stdout.write(f'        "{path}": "{digest}",\n')
+        sys.stdout.write("    },\n")
+    sys.stdout.write("}\n")

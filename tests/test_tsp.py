@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from moscal.engine import MethodConfig, run_method
+from moscal.engine import IMPROVEMENT_EPS, MethodConfig, run_method
 from moscal.scalarizing import Scalarizer, ScalarizerSpec
 from moscal.tsp import (
     CandidateLists,
@@ -160,6 +160,11 @@ def test_two_opt_respects_candidate_lists():
         start = random_tour(inst, rng)
         out = two_opt_local_search(inst, start, LIN, candidates=lists)
         assert not two_opt_has_improving_move(inst, out, LIN, cand=lists)
+    # lists for another city count are rejected, not read out of bounds
+    for count in (11, 13):
+        wrong = CandidateLists((frozenset({1}),) * count)
+        with pytest.raises(ValueError, match="candidate lists"):
+            two_opt_local_search(inst, random_tour(inst, rng), LIN, candidates=wrong)
 
 
 def test_two_opt_nonlinear_scalarizer_monotone():
@@ -188,6 +193,110 @@ def test_two_opt_reaches_exhaustive_optimum_on_6_cities():
         out = two_opt_local_search(inst, random_tour(inst, rng), LIN)
         hits += LIN(tsp_evaluate(inst, out)) == best
     assert hits >= 15
+
+
+def frozen_two_opt(instance, tour, scalarizer, candidates=None, value_trace=None):
+    """Oracle: the dense 2-opt as first written, two fancy gathers per
+    matrix per step and the candidate matrix rebuilt on every call."""
+    t = np.asarray(tour, dtype=np.int64).copy()
+    n = instance.n
+    i_ = np.arange(n)
+    pair_ok = (i_[None, :] - i_[:, None]) >= 2
+    pair_ok[0, n - 1] = False
+    bad_pairs = ~pair_ok
+    cand = candidates.matrix() if candidates is not None else None
+    nxt = np.empty_like(t)
+    nxt[:-1], nxt[-1] = t[1:], t[0]
+    point = np.array([c[t, nxt].sum() for c in instance.costs], dtype=np.int64)
+    value = scalarizer(point)
+    if value_trace is not None:
+        value_trace.append(value)
+    plain = scalarizer.is_plain_linear
+    w = None
+    if plain:
+        w = sum(float(l) * c for l, c in zip(scalarizer.weights, instance.costs))
+    while True:
+        nxt[:-1], nxt[-1] = t[1:], t[0]
+        ti, tk = t[:, None], t[None, :]
+        ni, nk = nxt[:, None], nxt[None, :]
+        if plain:
+            removed = w[t, nxt]
+            cand_vals = w[ti, tk]
+            cand_vals += w[ni, nk]
+            cand_vals -= removed[:, None]
+            cand_vals -= removed[None, :]
+            cand_vals += value
+        else:
+            deltas = np.empty((n, n, len(instance.costs)), dtype=np.int64)
+            for j, c in enumerate(instance.costs):
+                rem = c[t, nxt]
+                d = c[ti, tk]
+                d += c[ni, nk]
+                d -= rem[:, None]
+                d -= rem[None, :]
+                deltas[:, :, j] = d
+            cand_vals = scalarizer.value(point[None, None, :] + deltas)
+        if cand is None:
+            cand_vals[bad_pairs] = np.inf
+        else:
+            ok = cand[ti, tk]
+            ok |= cand[ni, nk]
+            cand_vals[bad_pairs | ~ok] = np.inf
+        flat = int(np.argmin(cand_vals))
+        i, k = divmod(flat, n)
+        best = cand_vals[i, k]
+        if not best < value - IMPROVEMENT_EPS:
+            break
+        t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]
+        if plain:
+            nxt[:-1], nxt[-1] = t[1:], t[0]
+            point = np.array([c[t, nxt].sum() for c in instance.costs], dtype=np.int64)
+        else:
+            point = point + deltas[i, k]
+        value = scalarizer(point)
+        if value_trace is not None:
+            value_trace.append(value)
+    return t
+
+
+def small_int_instance(n, n_obj, rng, high=10):
+    """Symmetric costs from a narrow range, so that equal deltas are common."""
+    mats = []
+    for _ in range(n_obj):
+        upper = np.triu(rng.integers(0, high, size=(n, n)), 1)
+        mats.append(upper + upper.T)
+    return TspInstance(tuple(mats))
+
+
+def test_two_opt_matches_frozen_dense_oracle():
+    rng = np.random.default_rng(2002)
+    kinds = ("linear", "chebycheff", "mixed")
+    list_kinds = ("none", "tours", "asymmetric")
+    for case in range(216):
+        n = int(rng.integers(5, 61))
+        n_obj = int(rng.integers(2, 4))
+        if case % 2:
+            inst = small_int_instance(n, n_obj, rng)
+        else:
+            inst = random_instance(n, n_obj, rng)
+        kind = kinds[case % 3]
+        ref = tuple(float(v) for v in rng.uniform(0, 50, size=n_obj)) if kind != "linear" else None
+        s = Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind, ref))
+        lists = None
+        list_kind = list_kinds[(case // 3) % 3]
+        if list_kind == "tours":
+            lists = build_candidate_lists([random_tour(inst, rng) for _ in range(int(rng.integers(1, 4)))])
+        elif list_kind == "asymmetric":
+            directed = rng.random((n, n)) < 0.2
+            np.fill_diagonal(directed, False)
+            assert (directed != directed.T).any()
+            lists = CandidateLists(tuple(frozenset(np.flatnonzero(row).tolist()) for row in directed))
+        start = random_tour(inst, rng)
+        expected_trace, trace = [], []
+        expected = frozen_two_opt(inst, start, s, lists, expected_trace)
+        out = two_opt_local_search(inst, start, s, candidates=lists, value_trace=trace)
+        assert out.tolist() == expected.tolist(), case
+        assert trace == expected_trace, case
 
 
 def test_dpx_identical_parents_returns_copy():
