@@ -128,6 +128,11 @@ class MethodConfig:
             raise ValueError("expected_rank must be >= 1")
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be >= 2")
+        if self.method == "moead" and self.neighborhood_size > self.initial_iterations():
+            raise ValueError(
+                f"moead neighborhood_size {self.neighborhood_size} exceeds "
+                f"weight count {self.initial_iterations()}"
+            )
         if not 0.0 <= self.mating_probability <= 1.0:
             raise ValueError("mating_probability must be in [0, 1]")
         if self.max_replacements < 1:

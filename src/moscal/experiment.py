@@ -7,7 +7,8 @@ union-based reference points, and writes deterministic CSV results alongside
 a plain-text comparison report with pairwise signed-rank decisions.
 
 Wallclock times go to a separate timings file so the results file is
-byte-identical across reruns of the same plan.
+byte-identical across reruns of the same plan; runs that raised are listed
+in a failures file (header only when every run succeeded).
 """
 
 from __future__ import annotations
@@ -236,6 +237,7 @@ class ExperimentOutcome:
     report: str
     results_csv: Path
     timings_csv: Path
+    failures_csv: Path
     table_csv: Path
     report_path: Path
     archive_dir: Path
@@ -381,6 +383,12 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
         writer.writerow(["method", "instance", "seed", "wallclock_ms"])
         for r in records:
             writer.writerow([r.method, r.instance, r.seed, r.wallclock_ms])
+    failures_csv = out_dir / "failures.csv"
+    with failures_csv.open("w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["instance", "method", "seed", "error"])
+        for f in failures:
+            writer.writerow([f.instance, f.method, f.seed, f.error])
     table_text, table_rows = format_table(records)
     table_csv = out_dir / "table.csv"
     with table_csv.open("w", newline="") as fh:
@@ -394,6 +402,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
         report=report,
         results_csv=results_csv,
         timings_csv=timings_csv,
+        failures_csv=failures_csv,
         table_csv=table_csv,
         report_path=report_path,
         archive_dir=archive_dir,

@@ -109,6 +109,44 @@ def scp_evaluate(instance: ScpInstance, solution: Iterable[int]) -> ObjectivePoi
     return tuple(float(v) for v in instance.costs[:, cols].sum(axis=1))
 
 
+def _repair(
+    instance: ScpInstance,
+    scalarizer: Scalarizer,
+    point: np.ndarray,
+    uncovered: np.ndarray,
+    allowed: np.ndarray,
+) -> list[int]:
+    """Greedy insertions that cover the `uncovered` rows; returns them in order.
+
+    `point` (float cost sums) is advanced in place to the repaired cover's
+    sums; `uncovered` is used up.  The per-column count of newly covered
+    rows is computed once and then reduced by the rows each insertion gains.
+    Returns only once the uncovered-row count reaches zero, so the extended
+    selection is always a cover.
+    """
+    picks: list[int] = []
+    remaining = int(np.count_nonzero(uncovered))
+    if not remaining:
+        return picks
+    coverage, costs = instance.coverage, instance.costs
+    newly = coverage[uncovered].sum(axis=0)
+    while True:
+        candidates = ((newly > 0) & allowed).nonzero()[0]
+        if candidates.size == 0:
+            raise RepairError("no admissible column covers the remaining rows")
+        base = scalarizer.value(point)
+        increase = scalarizer.value(point[None, :] + costs[:, candidates].T) - base
+        pick = int(candidates[(increase / newly[candidates]).argmin()])
+        picks.append(pick)
+        point += costs[:, pick]
+        remaining -= int(newly[pick])
+        if remaining <= 0:
+            return picks
+        gained = uncovered & coverage[:, pick]
+        uncovered ^= gained
+        newly -= coverage[gained].sum(axis=0)
+
+
 def greedy_repair(
     instance: ScpInstance,
     partial: Iterable[int],
@@ -122,33 +160,20 @@ def greedy_repair(
     the lowest column index).
     """
     cols = _as_columns(instance, partial)
-    selected = set(cols.tolist())
-    covered = _covered_rows(instance, cols)
-    point = instance.costs[:, cols].sum(axis=1).astype(float)
     allowed = np.ones(instance.n_columns, dtype=bool)
     if excluded is not None:
         if not 0 <= excluded < instance.n_columns:
             raise ValueError("excluded column out of range")
         allowed[excluded] = False
-    while not covered.all():
-        newly = instance.coverage[~covered].sum(axis=0)
-        candidates = np.flatnonzero((newly > 0) & allowed)
-        if candidates.size == 0:
-            raise RepairError("no admissible column covers the remaining rows")
-        base = scalarizer.value(point)
-        increase = scalarizer.value(point[None, :] + instance.costs[:, candidates].T) - base
-        pick = int(candidates[np.argmin(increase / newly[candidates])])
-        selected.add(pick)
-        covered |= instance.coverage[:, pick]
-        point += instance.costs[:, pick]
-    return frozenset(selected)
+    point = instance.costs[:, cols].sum(axis=1).astype(float)
+    picks = _repair(instance, scalarizer, point, ~_covered_rows(instance, cols), allowed)
+    return frozenset(cols.tolist()).union(picks)
 
 
 def scp_local_search(
     instance: ScpInstance,
     solution: Iterable[int],
     scalarizer: Scalarizer,
-    rng: np.random.Generator | None = None,
     value_trace: list[float] | None = None,
 ) -> CoverSolution:
     """Steepest-descent removal-and-repair search from a feasible cover.
@@ -156,28 +181,44 @@ def scp_local_search(
     Each step tentatively removes every selected column in turn, repairs the
     cover with that column excluded, and applies the best repaired neighbor
     if it strictly improves the scalarizing value.
+
+    Per step, the per-row cover counts and the integer cost sums of the
+    current cover are computed once; each neighbor starts from them.  Costs
+    are integers, so the repaired float point equals `scp_evaluate` of the
+    neighbor exactly.
     """
+    coverage, costs = instance.coverage, instance.costs
     current = frozenset(_as_columns(instance, solution).tolist())
     value = scalarizer(scp_evaluate(instance, current))
     if value_trace is not None:
         value_trace.append(value)
+    allowed = np.ones(instance.n_columns, dtype=bool)
     while True:
+        cols = np.asarray(sorted(current), dtype=np.int64)
+        counts = coverage[:, cols].sum(axis=1)
+        # recounted from scratch: guards the repair's incremental bookkeeping
+        if not counts.all():
+            raise RuntimeError("local search reached an infeasible cover")
+        total = costs[:, cols].sum(axis=1)
         best_value = value
-        best: CoverSolution | None = None
-        for col in sorted(current):
+        best: tuple[int, list[int]] | None = None
+        for col in cols.tolist():
+            point = (total - costs[:, col]).astype(float)
+            allowed[col] = False
             try:
-                neighbor = greedy_repair(
-                    instance, current - {col}, scalarizer, excluded=col
-                )
+                picks = _repair(instance, scalarizer, point, counts <= coverage[:, col], allowed)
             except RepairError:
                 continue
-            neighbor_value = scalarizer(scp_evaluate(instance, neighbor))
+            finally:
+                allowed[col] = True
+            neighbor_value = scalarizer(point)
             if neighbor_value < best_value - IMPROVEMENT_EPS:
                 best_value = neighbor_value
-                best = neighbor
+                best = (col, picks)
         if best is None:
             return current
-        current, value = best, best_value
+        col, picks = best
+        current, value = (current - {col}).union(picks), best_value
         if value_trace is not None:
             value_trace.append(value)
 

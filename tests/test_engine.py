@@ -69,6 +69,17 @@ def test_config_validation():
     assert momsls_config(generations=0).total_iterations() == 5
 
 
+def test_config_rejects_moead_neighborhood_beyond_weights():
+    # H=3 gives K=4 weight vectors, so at most 4 neighbors per subproblem
+    with pytest.raises(ValueError, match="neighborhood_size 5 exceeds weight count 4"):
+        MethodConfig(method="moead", objectives=2, generations=1, weight_granularity=3, neighborhood_size=5)
+    assert MethodConfig(
+        method="moead", objectives=2, generations=1, weight_granularity=3, neighborhood_size=4
+    ).initial_iterations() == 4
+    # only moead keeps neighborhoods
+    MethodConfig(method="umogls", objectives=2, generations=1, weight_granularity=3, neighborhood_size=5)
+
+
 def test_iteration_accounting():
     assert momsls_config(weight_count=101, generations=50).total_iterations() == 5151
     cfg = MethodConfig(method="umogls", objectives=2, generations=3, weight_granularity=100)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moscal.archive import read_points_csv
+from moscal import experiment
 from moscal.engine import METHODS
 from moscal.experiment import (
     EXPECTED_RANK_PRESETS,
@@ -80,6 +81,14 @@ def test_plan_validation(tsp_paths, tmp_path):
         small_plan((tsp_paths[0], str(tmp_path / "missing.tsp")), tmp_path / "o")
 
 
+def test_plan_rejects_moead_neighborhood_beyond_weights(tsp_paths, tmp_path):
+    with pytest.raises(ValueError, match="neighborhood_size 20 exceeds weight count 6"):
+        small_plan(tsp_paths, tmp_path / "o", methods=("mogls", "moead"), neighborhood_size=20)
+    # the same neighborhood is fine for methods that keep no neighborhoods
+    small_plan(tsp_paths, tmp_path / "o", methods=("mogls", "umogls"), neighborhood_size=20)
+    assert small_plan(tsp_paths, tmp_path / "o", methods=("moead",), neighborhood_size=6)
+
+
 def test_run_experiment_records_and_files(tsp_paths, tmp_path):
     plan = small_plan(tsp_paths, tmp_path / "out")
     outcome = run_experiment(plan)
@@ -147,6 +156,32 @@ def test_run_experiment_records_failures(tsp_paths, tmp_path):
     assert len(outcome.failures) == 6
     assert "INCOMPLETE" in outcome.report
     assert outcome.results_csv.read_text().strip() == "method,problem,instance,seed,iterations,R,HV"
+    assert len(outcome.failures_csv.read_text().splitlines()) == 1 + 6
+
+
+def test_run_experiment_writes_failures_csv(tsp_paths, tmp_path, monkeypatch):
+    clean = run_experiment(small_plan(tsp_paths, tmp_path / "clean"))
+    assert clean.failures_csv.read_text() == "instance,method,seed,error\n"
+
+    real_run_method = experiment.run_method
+
+    def flaky_run_method(config, adapter):
+        if (config.method, config.seed) == ("mogls", 101):
+            raise RuntimeError("injected, with a comma")
+        return real_run_method(config, adapter)
+
+    monkeypatch.setattr(experiment, "run_method", flaky_run_method)
+    outcome = run_experiment(small_plan(tsp_paths, tmp_path / "out"))
+    assert [(f.method, f.seed) for f in outcome.failures] == [("mogls", 101)]
+    assert outcome.failures_csv.read_text() == (
+        "instance,method,seed,error\n"
+        'toy_obj1,mogls,101,"RuntimeError: injected, with a comma"\n'
+    )
+    assert len(outcome.records) == 5
+    assert not (outcome.archive_dir / "mogls_toy_obj1_101.csv").exists()
+    for rec in outcome.records:
+        name = f"{rec.method}_{rec.instance}_{rec.seed}.csv"
+        assert (outcome.archive_dir / name).read_bytes() == (clean.archive_dir / name).read_bytes()
 
 
 def test_run_experiment_parallel_matches_sequential(tsp_paths, tmp_path):

@@ -43,6 +43,10 @@ CASES = {
         [("scp", dict(rows=40, cols=120))],
         dict(problem="moscp", generations=2, weight_count=10),
     ),
+    "moscp2-chebycheff": (
+        [("scp", dict(rows=40, cols=120))],
+        dict(problem="moscp", generations=2, weight_count=10, scalarizer=ScalarizerSpec("chebycheff")),
+    ),
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -52,6 +56,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         "archives/mogls_moscp2_5.csv": "aa038b66b9bbae7418181f0954ba664589451032733f8fa9baff3bc1fe4cbab1",
         "archives/momsls_moscp2_5.csv": "2052fc315de0ce694eaaec77cb90c5db9cea84dcfd02f4f94b299be4926b1258",
         "archives/umogls_moscp2_5.csv": "e698df388195d3758704a27e9fd4d9a7b2f39982d85a9bd9ea099b9890b793ac",
+    },
+    "moscp2-chebycheff": {
+        "results.csv": "fcd3e4c7030500d392e64461d506e56e477cb572014666f348b46ad06ae72608",
+        "archives/moead_moscp2-chebycheff_5.csv": "1cef98a89fc598f325f25468e2a7113730a4906214cde577fa9061bbb7854f9e",
+        "archives/mogls_moscp2-chebycheff_5.csv": "11e87628ca3b189c19cd804d39d8d48ec10b8e0ae28fda5d274441a4f55e2928",
+        "archives/momsls_moscp2-chebycheff_5.csv": "4cf075408a74ebb759903b643844afe0aa75b93a387b884bb5e37c91cf0d9a7e",
+        "archives/umogls_moscp2-chebycheff_5.csv": "ba8ddb9accbd0ff142a7a3a6f99790e64e65a97a421a39a268df2b5432c9bbfc",
     },
     "mstsp2": {
         "results.csv": "1007a77617a96ed79bad91bce47c2b369cae510636262a7debd952778f7633fc",

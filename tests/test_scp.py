@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from moscal.engine import MethodConfig, run_method
+from moscal.engine import IMPROVEMENT_EPS, MethodConfig, run_method
 from moscal.scalarizing import Scalarizer, ScalarizerSpec
 from moscal.scp import (
     RepairError,
@@ -228,6 +228,131 @@ def test_local_search_results_are_oracle_local_optima():
         assert is_feasible(inst, out)
         assert out in optima
         assert HALF(scp_evaluate(inst, out)) <= HALF(scp_evaluate(inst, start))
+
+
+def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ties=None):
+    """Oracle: removal-and-repair search as first written, every neighbour
+    rebuilt from scratch by a full repair and re-evaluated.  `ties` counts
+    exact ties in the repair's ratio argmin and in the best neighbour value."""
+
+    def as_columns(solution):
+        cols = np.asarray(sorted(solution), dtype=np.int64)
+        if cols.size and (cols[0] < 0 or cols[-1] >= instance.n_columns):
+            raise ValueError("column index out of range")
+        if cols.size != len(set(cols.tolist())):
+            raise ValueError("duplicate column in solution")
+        return cols
+
+    def covered_rows(cols):
+        if cols.size == 0:
+            return np.zeros(instance.n_rows, dtype=bool)
+        return instance.coverage[:, cols].any(axis=1)
+
+    def evaluate(solution):
+        cols = as_columns(solution)
+        if not covered_rows(cols).all():
+            raise ValueError("infeasible cover: some rows are uncovered")
+        return tuple(float(v) for v in instance.costs[:, cols].sum(axis=1))
+
+    def repair(partial, excluded):
+        cols = as_columns(partial)
+        selected = set(cols.tolist())
+        covered = covered_rows(cols)
+        point = instance.costs[:, cols].sum(axis=1).astype(float)
+        allowed = np.ones(instance.n_columns, dtype=bool)
+        allowed[excluded] = False
+        while not covered.all():
+            newly = instance.coverage[~covered].sum(axis=0)
+            candidates = np.flatnonzero((newly > 0) & allowed)
+            if candidates.size == 0:
+                raise RepairError("no admissible column covers the remaining rows")
+            base = scalarizer.value(point)
+            increase = scalarizer.value(point[None, :] + instance.costs[:, candidates].T) - base
+            ratios = increase / newly[candidates]
+            if ties is not None:
+                ties["ratio"] += int((ratios == ratios.min()).sum() > 1)
+            pick = int(candidates[np.argmin(ratios)])
+            selected.add(pick)
+            covered |= instance.coverage[:, pick]
+            point += instance.costs[:, pick]
+        return frozenset(selected)
+
+    current = frozenset(as_columns(solution).tolist())
+    value = scalarizer(evaluate(current))
+    if value_trace is not None:
+        value_trace.append(value)
+    while True:
+        best_value = value
+        best = None
+        for col in sorted(current):
+            try:
+                neighbor = repair(current - {col}, col)
+            except RepairError:
+                continue
+            neighbor_value = scalarizer(evaluate(neighbor))
+            if ties is not None and best is not None and neighbor_value == best_value:
+                ties["value"] += 1
+            if neighbor_value < best_value - IMPROVEMENT_EPS:
+                best_value = neighbor_value
+                best = neighbor
+        if best is None:
+            return current
+        current, value = best, best_value
+        if value_trace is not None:
+            value_trace.append(value)
+
+
+def padded_cover(inst, rng):
+    """A random cover plus a few redundant columns, so the search has work."""
+    extra = rng.choice(inst.n_columns, size=int(rng.integers(0, 6)), replace=False)
+    return random_cover(inst, rng) | frozenset(extra.tolist())
+
+
+def oracle_scalarizer(kind, n_obj, rng):
+    ref = tuple(float(v) for v in rng.uniform(0, 20, size=n_obj)) if kind != "linear" else None
+    return Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind, ref))
+
+
+def assert_matches_frozen_search(inst, start, scalarizer, ties=None):
+    expected_trace, trace = [], []
+    expected = frozen_scp_local_search(inst, start, scalarizer, expected_trace, ties)
+    assert scp_local_search(inst, start, scalarizer, value_trace=trace) == expected
+    assert trace == expected_trace
+
+
+def test_local_search_matches_frozen_oracle():
+    rng = np.random.default_rng(2004)
+    kinds = ("linear", "chebycheff", "mixed")
+    for case in range(60):
+        n_obj = 2 + case % 2
+        n_rows, n_cols = int(rng.integers(5, 31)), int(rng.integers(8, 61))
+        coverage = rng.random((n_rows, n_cols)) < rng.uniform(0.1, 0.4)
+        coverage[np.arange(n_rows), rng.integers(n_cols, size=n_rows)] = True
+        inst = ScpInstance(rng.integers(1, 40, size=(n_obj, n_cols)), coverage)
+        s = oracle_scalarizer(kinds[(case // 2) % 3], n_obj, rng)
+        assert_matches_frozen_search(inst, padded_cover(inst, rng), s)
+
+
+def test_local_search_matches_frozen_oracle_on_ties():
+    # duplicated columns with all costs equal, or with costs of 1 or 2, make
+    # exact ties in the repair's ratio argmin and among equally good
+    # neighbours; with two cost levels, repairs that swap one expensive column
+    # for a cheap one improve, so those ties decide the result
+    rng = np.random.default_rng(131)
+    kinds = ("linear", "chebycheff", "mixed")
+    ties = {"ratio": 0, "value": 0}
+    for case in range(40):
+        n_obj = 2 + case % 2
+        n_rows, n_base = int(rng.integers(6, 21)), int(rng.integers(6, 21))
+        base = rng.random((n_rows, n_base)) < 0.3
+        base[np.arange(n_rows), rng.integers(n_base, size=n_rows)] = True
+        base_costs = np.full((n_obj, n_base), 3) if case % 4 < 2 else rng.integers(1, 3, size=(n_obj, n_base))
+        cols = np.concatenate([np.arange(n_base), rng.choice(n_base, size=n_base // 2, replace=False)])
+        cols = cols[rng.permutation(cols.size)]
+        inst = ScpInstance(base_costs[:, cols], base[:, cols])
+        s = oracle_scalarizer(kinds[case % 3], n_obj, rng)
+        assert_matches_frozen_search(inst, padded_cover(inst, rng), s, ties)
+    assert ties["ratio"] > 0 and ties["value"] > 0, ties
 
 
 def test_recombine_identical_parents():
