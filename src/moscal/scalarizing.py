@@ -148,12 +148,30 @@ class Scalarizer:
         z = np.asarray(z, dtype=float)
         if z.shape[-1] != self.weights.shape[0]:
             raise ValueError(f"point dimension {z.shape[-1]} != weight dimension {self.weights.shape[0]}")
+        return self._scalarize(z)
+
+    def value_columns(self, *columns: np.ndarray | float) -> np.ndarray:
+        """Scalarize points given one objective per argument -> (...).
+
+        The columns broadcast to one shape (...); they are written into a
+        fresh C-contiguous (..., J) float array, laid out as `np.stack(...,
+        axis=-1)` lays them out, which `value` would receive.  The result
+        equals `value` of that array bit for bit.
+        """
+        if len(columns) != self.weights.shape[0]:
+            raise ValueError(f"{len(columns)} objective columns != weight dimension {self.weights.shape[0]}")
+        z = np.empty(np.broadcast(*columns).shape + (len(columns),))
+        for j, column in enumerate(columns):
+            z[..., j] = column
+        return self._scalarize(z)
+
+    def _scalarize(self, z: np.ndarray) -> np.ndarray:
         if self.transform is not None:
             z = self.transform(z)
         kind = self.spec.kind
         if kind == "linear":
             return z @ self.weights
-        cheby = (self.weights * (z - self.reference)).max(axis=-1)
+        cheby = self._chebycheff(z)
         if kind == "chebycheff":
             return cheby
         if self.spec.w_cheby == 0.0:
@@ -161,6 +179,19 @@ class Scalarizer:
         if self.spec.w_linear == 0.0:
             return cheby
         return self.spec.w_linear * (z @ self.weights) + self.spec.w_cheby * cheby
+
+    def _chebycheff(self, z: np.ndarray) -> np.ndarray:
+        """max_j lambda_j * (z_j - z_ref_j), taken one objective at a time.
+
+        These are the elementwise operations of `(weights * (z -
+        reference)).max(axis=-1)`, so the result is the same bit for bit;
+        numpy broadcasts and reduces over a short last axis far more slowly.
+        """
+        w, ref = self.weights, self.reference
+        cheby = w[0] * (z[..., 0] - ref[0])
+        for j in range(1, w.size):
+            cheby = np.maximum(cheby, w[j] * (z[..., j] - ref[j]))
+        return cheby
 
     def __call__(self, z: Sequence[float]) -> float:
         return float(self.value(np.asarray(z, dtype=float)))

@@ -126,7 +126,7 @@ def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
     return CandidateLists(tuple(frozenset(s) for s in sets))
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=128)
 def _invalid_pairs(n: int) -> np.ndarray:
     """2-opt position pairs (i, k) that are no move: k < i + 2, or the two
     edges share a city; read-only, one array per n."""
@@ -223,6 +223,9 @@ def two_opt_local_search(
 
 
 def _edge_set(tour: np.ndarray) -> set[tuple[int, int]]:
+    """Undirected edges (a < b) of a closed tour; empty for fewer than 2 cities."""
+    if tour.size < 2:
+        return set()
     nxt = np.roll(tour, -1)
     return {(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in zip(tour, nxt)}
 

@@ -8,6 +8,7 @@ raw values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -15,6 +16,7 @@ import numpy as np
 
 from .engine import IMPROVEMENT_EPS, ProblemAdapter
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
+from .tsp import _edge_set, _exchange_deltas, _invalid_pairs
 
 __all__ = [
     "TspwpInstance",
@@ -78,13 +80,27 @@ class ObjectiveRanges:
     def __post_init__(self) -> None:
         if len(self.lows) != len(self.highs):
             raise ValueError("range bounds disagree on dimension")
+        if not all(math.isfinite(v) for v in (*self.lows, *self.highs)):
+            raise ValueError(f"range bounds must be finite, got lows={self.lows} highs={self.highs}")
         if any(h <= l for l, h in zip(self.lows, self.highs)):
             raise ValueError("each range must have high > low")
 
     def normalize(self, points: np.ndarray) -> np.ndarray:
-        lows = np.asarray(self.lows)
-        spans = np.asarray(self.highs) - lows
-        return (np.asarray(points, dtype=float) - lows) / spans
+        """(points - lows) / (highs - lows), shape (..., J) -> (..., J).
+
+        Computed one objective at a time into a C-contiguous array: the same
+        elementwise operations, without numpy's slow broadcasting over a
+        short last axis.
+        """
+        z = np.asarray(points, dtype=float)
+        if z.shape[-1] != len(self.lows):
+            raise ValueError(f"point dimension {z.shape[-1]} != range dimension {len(self.lows)}")
+        out = np.empty(z.shape)
+        for j, (low, high) in enumerate(zip(self.lows, self.highs)):
+            column = out[..., j]
+            np.subtract(z[..., j], low, out=column)
+            column /= high - low
+        return out
 
 
 def _check_subtour(instance: TspwpInstance, subtour: Sequence[int]) -> np.ndarray:
@@ -112,10 +128,6 @@ def random_subtour(instance: TspwpInstance, rng: np.random.Generator) -> np.ndar
     return rng.choice(instance.n, size=size, replace=False)
 
 
-def _length_point(instance: TspwpInstance, t: np.ndarray) -> np.ndarray:
-    return np.asarray(tspwp_evaluate(instance, t), dtype=float)
-
-
 def tspwp_local_search(
     instance: TspwpInstance,
     subtour: Sequence[int],
@@ -129,86 +141,78 @@ def tspwp_local_search(
     exchange of a present city for an absent one in place.  The first strictly
     improving best move is applied; stops at a local optimum of the union
     neighborhood.
+
+    The start sub-tour is validated once.  A step keeps the sub-tour closed on
+    both sides, te = (t[m-1], t[0], ..., t[m-1], t[0]), gathers the cost rows
+    of te once and reads every move's integer length change from them: the
+    columns of te for 2-opt, the columns of the absent cities for insertion
+    and exchange.  Each family is scored by one `Scalarizer.value_columns`
+    call.  Ties go to the lowest index within a family and, between
+    families, to the first of edge, insert, swap, delete.
     """
     t = _check_subtour(instance, subtour).copy()
     costs, profits = instance.costs, instance.profits
-    n = instance.n
-    point = np.array(tspwp_evaluate(instance, t))
-    value = scalarizer(point)
-    if value_trace is not None:
-        value_trace.append(value)
+    present = np.zeros(instance.n, dtype=bool)
+    present[t] = True
     while True:
         m = t.size
-        absent = np.setdiff1d(np.arange(n), t)
+        te = np.concatenate((t[-1:], t, t[:1]))
+        # edges[i] = cost of <te[i], te[i+1]>: t's edge into position i is
+        # edges[i], its edge out of it edges[i + 1]
+        edges = costs[te[:-1], te[1:]]
+        gained = profits[t]
+        through = edges[:-1] + edges[1:]  # both edges at each position
+        point = np.array((float(edges[1:].sum()), -float(gained.sum())))
+        value = scalarizer(point)
+        if value_trace is not None:
+            value_trace.append(value)
+        absent = np.flatnonzero(~present)
+        absent_profits = profits[absent]
+        rows = costs[te]
         moves: list[tuple[float, tuple]] = []
-
-        prv = np.roll(t, 1)
-        nxt = np.roll(t, -1)
-        if m >= 2:
-            base_edges = costs[prv, t] + costs[t, nxt]
 
         if m >= 4:
             # 2-opt inside the sub-tour (length changes only)
-            rem = costs[t, nxt]
-            d_len = costs[t[:, None], t[None, :]] + costs[nxt[:, None], nxt[None, :]]
-            d_len -= rem[:, None]
-            d_len += -rem[None, :]
-            i = np.arange(m)
-            ok = (i[None, :] - i[:, None]) >= 2
-            ok[0, m - 1] = False
-            cand = np.stack(
-                [point[0] + d_len, np.full((m, m), point[1])], axis=-1
-            )
-            vals = scalarizer.value(cand)
-            vals[~ok] = np.inf
-            flat = int(np.argmin(vals))
+            d_len = _exchange_deltas(rows[1:, te[1:]])
+            vals = scalarizer.value_columns(point[0] + d_len, point[1])
+            vals[_invalid_pairs(m)] = np.inf
+            flat = int(vals.argmin())
             bi, bk = divmod(flat, m)
             if vals[bi, bk] < np.inf:
                 moves.append((float(vals[bi, bk]), ("edge", bi, bk)))
 
         if absent.size:
+            to_absent = rows[:, absent]
             # insertion: each absent city at its best (cheapest) position
             if m == 1:
-                inc = 2 * costs[t[0], absent]
+                inc = 2 * to_absent[1]
                 best_pos = np.zeros(absent.size, dtype=np.int64)
             else:
-                inc_all = costs[t[:, None], absent[None, :]] + costs[nxt[:, None], absent[None, :]]
-                inc_all -= costs[t, nxt][:, None]
+                inc_all = to_absent[1:-1] + to_absent[2:]
+                inc_all -= edges[1:, None]
                 best_pos = inc_all.argmin(axis=0)
                 inc = inc_all[best_pos, np.arange(absent.size)]
-            cand = np.stack(
-                [point[0] + inc, point[1] - profits[absent].astype(float)], axis=-1
-            )
-            vals = scalarizer.value(cand)
-            v = int(np.argmin(vals))
+            vals = scalarizer.value_columns(point[0] + inc, point[1] - absent_profits)
+            v = int(vals.argmin())
             moves.append((float(vals[v]), ("insert", int(absent[v]), int(best_pos[v]))))
 
             # exchange: absent city replaces a present one at its position
             if m == 1:
                 d_len_x = np.zeros((1, absent.size))
             else:
-                d_len_x = costs[prv[:, None], absent[None, :]] + costs[nxt[:, None], absent[None, :]]
-                d_len_x -= base_edges[:, None]
-            d_prof = profits[t][:, None] - profits[absent][None, :]
-            cand = np.stack(
-                [point[0] + d_len_x, point[1] + d_prof.astype(float)], axis=-1
-            )
-            vals = scalarizer.value(cand)
-            flat = int(np.argmin(vals))
+                d_len_x = to_absent[:-2] + to_absent[2:]
+                d_len_x -= through[:, None]
+            d_prof = gained[:, None] - absent_profits[None, :]
+            vals = scalarizer.value_columns(point[0] + d_len_x, point[1] + d_prof)
+            flat = int(vals.argmin())
             xi, xv = divmod(flat, absent.size)
             moves.append((float(vals[xi, xv]), ("swap", xi, int(absent[xv]))))
 
         if m >= 2:
             # deletion of a present city
-            if m == 2:
-                d_len_d = -2.0 * costs[t[0], t[1]] * np.ones(2)
-            else:
-                d_len_d = costs[prv, nxt] - base_edges
-            cand = np.stack(
-                [point[0] + d_len_d, point[1] + profits[t].astype(float)], axis=-1
-            )
-            vals = scalarizer.value(cand)
-            di = int(np.argmin(vals))
+            d_len_d = costs[te[:-2], te[2:]] - through
+            vals = scalarizer.value_columns(point[0] + d_len_d, point[1] + gained)
+            di = int(vals.argmin())
             moves.append((float(vals[di]), ("delete", di)))
 
         if not moves:
@@ -222,18 +226,17 @@ def tspwp_local_search(
             t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]
         elif kind == "insert":
             _, city, pos = move
-            t = np.insert(t, pos + 1, city)
+            t = np.concatenate((t[: pos + 1], [city], t[pos + 1 :]))
+            present[city] = True
         elif kind == "swap":
             _, pos, city = move
-            t = t.copy()
+            present[t[pos]] = False
+            present[city] = True
             t[pos] = city
         else:  # delete
             _, pos = move
-            t = np.delete(t, pos)
-        point = np.array(tspwp_evaluate(instance, t))
-        value = scalarizer(point)
-        if value_trace is not None:
-            value_trace.append(value)
+            present[t[pos]] = False
+            t = np.concatenate((t[:pos], t[pos + 1 :]))
     return t
 
 
@@ -259,13 +262,6 @@ def estimate_ranges(instance: TspwpInstance, rng: np.random.Generator) -> Object
     return ObjectiveRanges(tuple(lows - pad), tuple(highs + pad))
 
 
-def _cycle_edges(t: np.ndarray) -> set[tuple[int, int]]:
-    if t.size < 2:
-        return set()
-    nxt = np.roll(t, -1)
-    return {(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in zip(t, nxt)}
-
-
 def dpx_wp_recombine(
     parent_a: Sequence[int],
     parent_b: Sequence[int],
@@ -284,7 +280,7 @@ def dpx_wp_recombine(
     pb = np.asarray(parent_b, dtype=np.int64)
     if n_cities is None:
         n_cities = int(max(pa.max(), pb.max())) + 1
-    ea, eb = _cycle_edges(pa), _cycle_edges(pb)
+    ea, eb = _edge_set(pa), _edge_set(pb)
     common_edges = ea & eb
     common_nodes = set(pa.tolist()) & set(pb.tolist())
 

@@ -39,6 +39,14 @@ CASES = {
         [("euclidean", dict(n=30, objectives=1)), ("profits", dict(n=30))],
         dict(problem="tspwp", generations=2, weight_count=10),
     ),
+    "tspwp-linear": (
+        [("euclidean", dict(n=30, objectives=1)), ("profits", dict(n=30))],
+        dict(problem="tspwp", generations=2, weight_count=10, scalarizer=ScalarizerSpec("linear")),
+    ),
+    "tspwp-chebycheff": (
+        [("euclidean", dict(n=30, objectives=1)), ("profits", dict(n=30))],
+        dict(problem="tspwp", generations=2, weight_count=10, scalarizer=ScalarizerSpec("chebycheff")),
+    ),
     "moscp2": (
         [("scp", dict(rows=40, cols=120))],
         dict(problem="moscp", generations=2, weight_count=10),
@@ -91,6 +99,20 @@ GOLDEN: dict[str, dict[str, str]] = {
         "archives/mogls_tspwp_5.csv": "8d89bf49341376dd1bcd88472b97647533a76005c476b597501e71072a52728a",
         "archives/momsls_tspwp_5.csv": "5488821d12906eb2d3afc407b84172205cc883ac564e4d152861df580efb552d",
         "archives/umogls_tspwp_5.csv": "6a5f1f864fa13ca538c02776810330b0f4348539476a31099985128d52ba8fef",
+    },
+    "tspwp-chebycheff": {
+        "results.csv": "a1eb16d116c3490c83bd519a564d2ec1b4d83280d2b68dd7b3cb18e39dfcdcb5",
+        "archives/moead_tspwp-chebycheff_5.csv": "4483bb95e782c31b7af956db44453ec44427e93b42b01f0bde7b1372a7895449",
+        "archives/mogls_tspwp-chebycheff_5.csv": "cd8d564cf791fd75f9fe1b66c456308ea82cfdae2f8f01b7ac9e1177d9254da5",
+        "archives/momsls_tspwp-chebycheff_5.csv": "0f75dd58e241c6bb6f1cc08080b4a7f5c0cc8d59d9840448a00c34e871a86c26",
+        "archives/umogls_tspwp-chebycheff_5.csv": "0bbf6ea3575f9ba6b39472a47525d39682c7fe542dc23863354b2a966f4a500b",
+    },
+    "tspwp-linear": {
+        "results.csv": "3a1ad1900cc5cf7587e562550e5e31c5e4eef6bc404f8648b2dc7631f086d3ac",
+        "archives/moead_tspwp-linear_5.csv": "b1866dff7680eb86f9f20b76cc97738577e537b287e713f88b0598670b006ceb",
+        "archives/mogls_tspwp-linear_5.csv": "14326e65a12f003b02f8ceff698d0c320ba72dc29c11894b95ec25feb30ff8cc",
+        "archives/momsls_tspwp-linear_5.csv": "c89e7158c66fab3257efa126d623cfaeb0b716b1416845c5a841f8bb8b671f15",
+        "archives/umogls_tspwp-linear_5.csv": "5a8a3e74e9f165484bf732f4b287a0e05341f80c1e821c83a90c0dd90a1fbe66",
     },
 }
 

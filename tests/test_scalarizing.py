@@ -161,6 +161,24 @@ def test_scalarizer_transform_applies_before_scalarizing():
     assert not s.is_plain_linear
 
 
+def test_chebycheff_bit_matches_broadcast_max():
+    # value takes the max one objective at a time; it must equal numpy's
+    # broadcast-and-reduce form bit for bit, signed zeros included
+    rng = np.random.default_rng(8)
+    for case in range(120):
+        j = int(rng.integers(2, 5))
+        shape = tuple(int(v) for v in rng.integers(1, 20, size=case % 3)) + (j,)
+        z = np.round(rng.normal(size=shape) * 10.0 ** int(rng.integers(-3, 8)), case % 4)
+        ref = tuple(float(v) for v in rng.normal(size=j))
+        lam = rng.dirichlet(np.ones(j))
+        if case % 5 == 0:
+            lam[0], lam[1] = 0.0, lam[0] + lam[1]  # zero weights give -0.0 terms
+            z[..., 0] = -abs(z[..., 0])
+        s = Scalarizer(tuple(lam), ScalarizerSpec("chebycheff", ref))
+        expected = (s.weights * (z - np.asarray(ref))).max(axis=-1)
+        assert np.asarray(s.value(z)).tobytes() == np.asarray(expected).tobytes(), case
+
+
 @st.composite
 def weight_params(draw):
     j = draw(st.integers(min_value=2, max_value=4))

@@ -9,6 +9,7 @@ from moscal.tsp import (
     CandidateLists,
     TspAdapter,
     TspInstance,
+    _exchange_deltas,
     build_candidate_lists,
     dpx_recombine,
     random_tour,
@@ -297,6 +298,26 @@ def test_two_opt_matches_frozen_dense_oracle():
         out = two_opt_local_search(inst, start, s, candidates=lists, value_trace=trace)
         assert out.tolist() == expected.tolist(), case
         assert trace == expected_trace, case
+
+
+def test_exchange_deltas_keep_summation_order():
+    # ((p[i,k] + p[i+1,k+1]) - removed_i) - removed_k, bit for bit: with
+    # float-weighted costs of about 1e7, another order changes the last bit
+    rng = np.random.default_rng(41)
+    reordered = 0
+    for _ in range(20):
+        n = int(rng.integers(5, 40))
+        inst = random_instance(n, 2, rng, scale=10**7)
+        w = 0.3713 * inst.costs[0] + 0.6287 * inst.costs[1]
+        t = random_tour(inst, rng)
+        te = np.append(t, t[0])
+        p = w[te][:, te]
+        removed = np.diagonal(p, 1)
+        expected = ((p[:-1, :-1] + p[1:, 1:]) - removed[:, None]) - removed[None, :]
+        assert _exchange_deltas(p).tobytes() == expected.tobytes()
+        swapped = ((p[:-1, :-1] + p[1:, 1:]) - removed[None, :]) - removed[:, None]
+        reordered += swapped.tobytes() != expected.tobytes()
+    assert reordered >= 15  # the inputs do tell the two orders apart
 
 
 def test_dpx_identical_parents_returns_copy():

@@ -1,9 +1,10 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from moscal.engine import MethodConfig, run_method
+from moscal.engine import IMPROVEMENT_EPS, MethodConfig, run_method
 from moscal.scalarizing import Scalarizer, ScalarizerSpec
 from moscal.tspwp import (
     ObjectiveRanges,
@@ -193,6 +194,22 @@ def test_objective_ranges_validation_and_normalize():
     assert pts.tolist() == [[0.5, 0.5], [0.0, 1.0]]
     with pytest.raises(ValueError):
         ObjectiveRanges((0.0, 0.0), (1.0, 0.0))
+    with pytest.raises(ValueError, match="point dimension"):
+        r.normalize(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize(
+    "lows, highs",
+    [
+        ((math.nan, 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (math.inf, 1.0)),
+        ((-math.inf, 0.0), (1.0, 1.0)),
+        ((0.0, 0.0), (1.0, math.nan)),
+    ],
+)
+def test_objective_ranges_reject_non_finite_bounds(lows, highs):
+    with pytest.raises(ValueError, match="finite"):
+        ObjectiveRanges(lows, highs)
 
 
 def test_estimate_ranges_brackets_boundary_solutions():
@@ -273,3 +290,192 @@ def test_adapter_default_scalarizer_is_mixed():
     assert spec.kind == "mixed"
     assert spec.w_cheby == pytest.approx(0.999)
     assert spec.w_linear == pytest.approx(0.001)
+
+
+def frozen_value(weights, spec, ranges, z):
+    """Oracle: `Scalarizer.value` and `ObjectiveRanges.normalize` as first
+    written, broadcasting over the last axis and reducing it with `max`."""
+    z = np.asarray(z, dtype=float)
+    if ranges is not None:
+        lows = np.asarray(ranges.lows)
+        z = (z - lows) / (np.asarray(ranges.highs) - lows)
+    w = np.asarray(weights, dtype=float)
+    if spec.kind == "linear":
+        return z @ w
+    cheby = (w * (z - np.asarray(spec.reference_point))).max(axis=-1)
+    if spec.kind == "chebycheff":
+        return cheby
+    if spec.w_cheby == 0.0:
+        return z @ w
+    if spec.w_linear == 0.0:
+        return cheby
+    return spec.w_linear * (z @ w) + spec.w_cheby * cheby
+
+
+def frozen_local_search(instance, subtour, weights, spec, ranges, value_trace, ties):
+    """Oracle: the four-family descent as first written, re-deriving every
+    step from scratch (setdiff1d, np.roll, np.stack, tspwp_evaluate).
+
+    `ties` counts the steps where the minimum of a family is attained more
+    than once ("edge", "insert", "swap", "delete") and where the best move
+    value is shared by more than one family ("between")."""
+
+    def value_of(cand):
+        return frozen_value(weights, spec, ranges, cand)
+
+    def family_min(name, vals):
+        ok = vals[np.isfinite(vals)]
+        if ok.size and (ok == ok.min()).sum() > 1:
+            ties[name] += 1
+        return vals
+
+    t = np.asarray(subtour, dtype=np.int64).copy()
+    costs, profits = instance.costs, instance.profits
+    n = instance.n
+    point = np.array(tspwp_evaluate(instance, t))
+    value = float(value_of(point))
+    value_trace.append(value)
+    while True:
+        m = t.size
+        absent = np.setdiff1d(np.arange(n), t)
+        moves = []
+        prv = np.roll(t, 1)
+        nxt = np.roll(t, -1)
+        if m >= 2:
+            base_edges = costs[prv, t] + costs[t, nxt]
+        if m >= 4:
+            rem = costs[t, nxt]
+            d_len = costs[t[:, None], t[None, :]] + costs[nxt[:, None], nxt[None, :]]
+            d_len -= rem[:, None]
+            d_len += -rem[None, :]
+            i = np.arange(m)
+            ok = (i[None, :] - i[:, None]) >= 2
+            ok[0, m - 1] = False
+            cand = np.stack([point[0] + d_len, np.full((m, m), point[1])], axis=-1)
+            vals = value_of(cand)
+            vals[~ok] = np.inf
+            flat = int(np.argmin(family_min("edge", vals)))
+            bi, bk = divmod(flat, m)
+            if vals[bi, bk] < np.inf:
+                moves.append((float(vals[bi, bk]), ("edge", bi, bk)))
+        if absent.size:
+            if m == 1:
+                inc = 2 * costs[t[0], absent]
+                best_pos = np.zeros(absent.size, dtype=np.int64)
+            else:
+                inc_all = costs[t[:, None], absent[None, :]] + costs[nxt[:, None], absent[None, :]]
+                inc_all -= costs[t, nxt][:, None]
+                best_pos = inc_all.argmin(axis=0)
+                inc = inc_all[best_pos, np.arange(absent.size)]
+            cand = np.stack([point[0] + inc, point[1] - profits[absent].astype(float)], axis=-1)
+            vals = value_of(cand)
+            v = int(np.argmin(family_min("insert", vals)))
+            moves.append((float(vals[v]), ("insert", int(absent[v]), int(best_pos[v]))))
+            if m == 1:
+                d_len_x = np.zeros((1, absent.size))
+            else:
+                d_len_x = costs[prv[:, None], absent[None, :]] + costs[nxt[:, None], absent[None, :]]
+                d_len_x -= base_edges[:, None]
+            d_prof = profits[t][:, None] - profits[absent][None, :]
+            cand = np.stack([point[0] + d_len_x, point[1] + d_prof.astype(float)], axis=-1)
+            vals = value_of(cand)
+            flat = int(np.argmin(family_min("swap", vals)))
+            xi, xv = divmod(flat, absent.size)
+            moves.append((float(vals[xi, xv]), ("swap", xi, int(absent[xv]))))
+        if m >= 2:
+            if m == 2:
+                d_len_d = -2.0 * costs[t[0], t[1]] * np.ones(2)
+            else:
+                d_len_d = costs[prv, nxt] - base_edges
+            cand = np.stack([point[0] + d_len_d, point[1] + profits[t].astype(float)], axis=-1)
+            vals = value_of(cand)
+            di = int(np.argmin(family_min("delete", vals)))
+            moves.append((float(vals[di]), ("delete", di)))
+        if not moves:
+            break
+        best_val, move = min(moves, key=lambda mv: mv[0])
+        if sum(v == best_val for v, _ in moves) > 1:
+            ties["between"] += 1
+        if not best_val < value - IMPROVEMENT_EPS:
+            break
+        kind = move[0]
+        if kind == "edge":
+            _, i, k = move
+            t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]
+        elif kind == "insert":
+            _, city, pos = move
+            t = np.insert(t, pos + 1, city)
+        elif kind == "swap":
+            _, pos, city = move
+            t = t.copy()
+            t[pos] = city
+        else:
+            _, pos = move
+            t = np.delete(t, pos)
+        point = np.array(tspwp_evaluate(instance, t))
+        value = float(value_of(point))
+        value_trace.append(value)
+    return t
+
+
+def tied_instance(n, rng):
+    """Costs of 1-3 and profits of 1-2, so that equal moves are common."""
+    upper = np.triu(rng.integers(1, 4, size=(n, n)), 1)
+    return TspwpInstance(upper + upper.T, rng.integers(1, 3, size=n))
+
+
+def test_local_search_matches_frozen_oracle():
+    kinds = ("linear", "chebycheff", "mixed")
+    ties = dict.fromkeys(("edge", "insert", "swap", "delete", "between"), 0)
+    cases = itertools.product(range(4), (False, True), kinds, (False, True), (1, 2, 3, 4, None))
+    for case, (rep, tied, kind, normalized, size) in enumerate(cases):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(4, 41))
+        inst = tied_instance(n, rng) if tied else small_instance(n, rng)
+        ranges = None
+        if normalized:
+            total = float(inst.profits.sum())
+            ranges = ObjectiveRanges((0.0, -total - 1.0), (float(inst.costs.max()) * n + 1.0, 1.0))
+        weights = (0.5, 0.5) if tied and rep % 2 else tuple(rng.dirichlet(np.ones(2)))
+        ref = None
+        if kind != "linear":
+            ref_point = np.array(tspwp_evaluate(inst, random_subtour(inst, rng)))
+            ref = tuple(float(v) for v in (ranges.normalize(ref_point) if ranges else ref_point))
+        w_linear = (0.001, 0.5)[rep % 2] if kind == "mixed" else None
+        spec = ScalarizerSpec(kind, ref, w_linear=w_linear)
+        s = Scalarizer(weights, spec, transform=ranges.normalize if ranges else None)
+        start = rng.choice(n, size=n if size is None else size, replace=False)
+        expected_trace, trace = [], []
+        expected = frozen_local_search(inst, start, weights, spec, ranges, expected_trace, ties)
+        out = tspwp_local_search(inst, start, s, value_trace=trace)
+        assert out.tolist() == expected.tolist(), case
+        assert trace == expected_trace, case
+    assert case + 1 >= 200
+    assert all(count > 0 for count in ties.values()), ties
+
+
+def test_value_columns_bit_matches_value_on_search_shapes():
+    # the four families score (m, m), (k,), (m, k) and (m,) candidate arrays
+    rng = np.random.default_rng(17)
+    ranges = ObjectiveRanges((-3.0e3, -7.0e2), (2.9e4, 11.0))
+    for case in range(60):
+        m, k = (int(v) for v in rng.integers(1, 41, size=2))
+        length = float(rng.integers(0, 30000))
+        profit = -float(rng.integers(0, 700))
+        shapes = {
+            "edge": (length + rng.integers(-900, 900, size=(m, m)), profit),
+            "insert": (length + rng.integers(0, 900, size=k), profit - rng.integers(0, 99, size=k)),
+            "swap": (length + rng.integers(-900, 900, size=(m, k)), profit + rng.integers(-99, 99, size=(m, k))),
+            "delete": (length - rng.integers(0, 900, size=m), profit + rng.integers(0, 99, size=m)),
+        }
+        kind = ("linear", "chebycheff", "mixed")[case % 3]
+        normalized = case % 2 == 1
+        ref = tuple(float(v) for v in rng.uniform(-0.1, 0.5, size=2)) if kind != "linear" else None
+        spec = ScalarizerSpec(kind, ref, w_linear=0.001) if kind == "mixed" else ScalarizerSpec(kind, ref)
+        weights = tuple(rng.dirichlet(np.ones(2)))
+        s = Scalarizer(weights, spec, transform=ranges.normalize if normalized else None)
+        for name, columns in shapes.items():
+            stacked = np.stack(np.broadcast_arrays(*columns), axis=-1)
+            expected = frozen_value(weights, spec, ranges if normalized else None, stacked)
+            assert s.value(stacked).tobytes() == expected.tobytes(), (case, name)
+            assert s.value_columns(*columns).tobytes() == expected.tobytes(), (case, name)
