@@ -118,4 +118,6 @@ def read_points_csv(path: str | Path) -> list[ObjectivePoint]:
         if len(parts) != n_obj:
             raise ValueError(f"{path}:{i}: expected {n_obj} values, got {len(parts)}")
         out.append(as_point(float(p) for p in parts))
+    if not out:
+        raise ValueError(f"{path}: archive file holds no points")
     return out

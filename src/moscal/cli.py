@@ -15,12 +15,10 @@ otherwise.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import sys
-import time
 from pathlib import Path
-
-import numpy as np
 
 from .archive import read_points_csv, write_points_csv
 from .engine import METHODS, run_method
@@ -34,12 +32,8 @@ from .experiment import (
     pairwise_wilcoxon_report,
     read_results_csv,
 )
-from .indicators import (
-    R_WEIGHT_GRANULARITY,
-    hypervolume,
-    r_measure,
-    union_reference_points,
-)
+from .indicators import hypervolume, r_measure, r_weight_set, union_reference_points
+from .instances import generate_instance
 from .scalarizing import ScalarizerSpec, generate_uniform_weights, granularity_for_count
 
 __all__ = ["main", "build_parser"]
@@ -74,7 +68,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--instance",
         required=True,
         nargs="+",
-        help="instance files: one per objective (mstsp), coordinates then profits (tspwp), one covering file (moscp)",
+        help="instance files: " + "; ".join(p.needs for p in PROBLEMS.values()),
     )
     run.add_argument("--out", required=True, help="archive CSV output path")
     run.add_argument("--preset", choices=sorted(PRESETS), help="named budget (generations + weights)")
@@ -109,8 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gen(args) -> int:
-    from .instances import generate_instance
-
     params = {}
     for flag, kinds in (
         ("n", ("euclidean", "cluster", "profits")),
@@ -134,23 +126,6 @@ def _gen(args) -> int:
     for p in paths:
         print(p)
     return 0
-
-
-def _load_problem(problem: str, paths):
-    from .instances import load_tsp_instance, load_tspwp_instance, parse_scp
-    from .scp import ScpAdapter
-    from .tsp import TspAdapter
-    from .tspwp import TspwpAdapter
-
-    if problem == "mstsp":
-        return TspAdapter(load_tsp_instance(paths))
-    if problem == "tspwp":
-        if len(paths) != 2:
-            raise ValueError("tspwp needs exactly two files: coordinates then profits")
-        return TspwpAdapter(load_tspwp_instance(*paths))
-    if len(paths) != 1:
-        raise ValueError("moscp needs exactly one covering file")
-    return ScpAdapter(parse_scp(paths[0]))
 
 
 def _run(args) -> int:
@@ -178,7 +153,8 @@ def _run(args) -> int:
     elif args.w_linear is not None or args.w_cheby is not None:
         raise ValueError("--w-linear/--w-cheby need --scalarizer mixed")
 
-    adapter = _load_problem(args.problem, args.instance)
+    problem = PROBLEMS[args.problem]
+    adapter = problem.adapter(problem.load(args.instance))
     config = make_method_config(
         args.method,
         adapter.n_objectives,
@@ -192,9 +168,7 @@ def _run(args) -> int:
         seed=args.seed,
         main_iterations=args.main_iterations,
     )
-    started = time.perf_counter()
     result = run_method(config, adapter)
-    wallclock_ms = int(round(1000 * (time.perf_counter() - started)))
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_points_csv(result.archive, out)
@@ -213,7 +187,7 @@ def _run(args) -> int:
         "scalarizer": args.scalarizer,
         "iterations": result.iteration_count,
         "archive_size": len(result.archive),
-        "wallclock_ms": wallclock_ms,
+        "wallclock_ms": int(round(1000 * result.wallclock_s)),
     }
     Path(f"{out}.meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     print(
@@ -225,7 +199,10 @@ def _run(args) -> int:
 
 def _eval(args) -> int:
     point_sets = [read_points_csv(p) for p in args.archive]
-    n_objectives = len(point_sets[0][0])
+    widths = {len(points[0]) for points in point_sets}
+    if len(widths) != 1 or not widths <= {2, 3}:
+        raise ValueError(f"eval scores archives that all have 2 or all have 3 objectives, got {sorted(widths)}")
+    (n_objectives,) = widths
     if args.ref_mode == "explicit":
         if args.z_ref is None or args.hv_ref is None:
             raise ValueError("explicit mode needs --z-ref and --hv-ref")
@@ -236,17 +213,12 @@ def _eval(args) -> int:
         if args.z_ref is not None or args.hv_ref is not None:
             raise ValueError("--z-ref/--hv-ref apply to --ref-mode explicit only")
         z_ref, hv_ref = union_reference_points(point_sets)
-    if args.r_weights is not None:
-        granularity = granularity_for_count(n_objectives, args.r_weights)
+    if args.r_weights is None:
+        weights = r_weight_set(n_objectives)
     else:
-        granularity = R_WEIGHT_GRANULARITY.get(n_objectives)
-        if granularity is None:
-            raise ValueError(
-                f"no default R weight count for {n_objectives} objectives; give --r-weights"
-            )
-    weights = np.asarray(
-        [tuple(w) for w in generate_uniform_weights(n_objectives, granularity)]
-    )
+        weights = generate_uniform_weights(
+            n_objectives, granularity_for_count(n_objectives, args.r_weights)
+        )
     print("archive,points,R,HV")
     for path, points in zip(args.archive, point_sets):
         r = r_measure(points, weights, z_ref)
@@ -277,12 +249,10 @@ def _table(args) -> int:
     text, rows = format_table(records)
     print(text, end="")
     if args.out:
-        import csv as _csv
-
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         with out.open("w", newline="") as fh:
-            _csv.writer(fh, lineterminator="\n").writerows(rows)
+            csv.writer(fh, lineterminator="\n").writerows(rows)
     return 0
 
 

@@ -14,12 +14,13 @@ in a failures file (header only when every run succeeded).
 from __future__ import annotations
 
 import csv
-import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -45,6 +46,7 @@ __all__ = [
     "ExperimentOutcome",
     "ExperimentPlan",
     "ParameterPreset",
+    "Problem",
     "ResultRecord",
     "RunFailure",
     "format_table",
@@ -54,7 +56,30 @@ __all__ = [
     "run_experiment",
 ]
 
-PROBLEMS = ("mstsp", "tspwp", "moscp")
+
+@dataclass(frozen=True)
+class Problem:
+    """How one problem's instance files load, and the adapter that runs it."""
+
+    loader: Callable[..., Any]  # called with the instance paths as arguments
+    file_count: int | None  # exact number of instance files; None: one per objective
+    needs: str  # the files the problem needs, as its error message and the CLI help say
+    adapter: type[ProblemAdapter]
+
+    def load(self, paths: Sequence):
+        if self.file_count is not None and len(paths) != self.file_count:
+            raise ValueError(self.needs)
+        return self.loader(*paths)
+
+
+# The one map from a problem name to its loader, file count and adapter.
+PROBLEMS = {
+    "mstsp": Problem(lambda *paths: load_tsp_instance(paths), None,
+                     "mstsp needs one coordinate file per objective", TspAdapter),
+    "tspwp": Problem(load_tspwp_instance, 2,
+                     "tspwp needs exactly two files: coordinates then profits", TspwpAdapter),
+    "moscp": Problem(parse_scp, 1, "moscp needs exactly one covering file", ScpAdapter),
+}
 
 
 @dataclass(frozen=True)
@@ -167,7 +192,7 @@ class ExperimentPlan:
 
     def __post_init__(self) -> None:
         if self.problem not in PROBLEMS:
-            raise ValueError(f"unknown problem {self.problem!r}; expected one of {PROBLEMS}")
+            raise ValueError(f"unknown problem {self.problem!r}; expected one of {tuple(PROBLEMS)}")
         if not self.methods or any(m not in METHODS for m in self.methods):
             raise ValueError(f"methods must be drawn from {METHODS}")
         if len(set(self.methods)) != len(self.methods):
@@ -196,28 +221,15 @@ class ExperimentPlan:
         return self._n_objectives
 
     def load_instance(self):
-        if self.problem == "mstsp":
-            return load_tsp_instance(self.instance_paths)
-        if self.problem == "tspwp":
-            if len(self.instance_paths) != 2:
-                raise ValueError("tspwp needs a coordinate file and a profit file")
-            return load_tspwp_instance(*self.instance_paths)
-        (path,) = self.instance_paths
-        return parse_scp(path)
+        return PROBLEMS[self.problem].load(self.instance_paths)
 
     def make_adapter(self, instance) -> ProblemAdapter:
-        if self.problem == "mstsp":
-            return TspAdapter(instance)
-        if self.problem == "tspwp":
-            return TspwpAdapter(instance)
-        return ScpAdapter(instance)
+        return PROBLEMS[self.problem].adapter(instance)
 
     def config_for(self, method: str, seed: int) -> MethodConfig:
-        instance = getattr(self, "_n_objectives", None)
-        objectives = instance if instance is not None else self.load_instance().n_objectives
         return make_method_config(
             method,
-            objectives,
+            self.n_objectives,
             self.generations,
             self.weight_count,
             scalarizer=self.scalarizer,
@@ -247,10 +259,8 @@ def _execute_job(args):
     plan, method, seed = args
     instance = plan.load_instance()
     adapter = plan.make_adapter(instance)
-    config = plan.config_for(method, seed=seed)
-    started = time.perf_counter()
-    result = run_method(config, adapter)
-    elapsed_ms = int(round(1000 * (time.perf_counter() - started)))
+    result = run_method(plan.config_for(method, seed=seed), adapter)
+    elapsed_ms = int(round(1000 * result.wallclock_s))
     return method, seed, result.iteration_count, result.archive.points(), elapsed_ms
 
 
@@ -276,30 +286,21 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
         for rep in range(plan.replications)
     ]
     failures: list[RunFailure] = []
-    outcomes: list[tuple | None] = []
-    if plan.workers > 1:
-        with ProcessPoolExecutor(max_workers=plan.workers) as pool:
-            futures = [pool.submit(_execute_job, job) for job in jobs]
-            for job, future in zip(jobs, futures):
-                try:
-                    outcomes.append(future.result())
-                except Exception as exc:  # noqa: BLE001 - individual runs may fail
-                    _, method, seed = job
-                    failures.append(
-                        RunFailure(method, plan.instance_name, seed, f"{type(exc).__name__}: {exc}")
-                    )
-                    outcomes.append(None)
-    else:
-        for job in jobs:
+    raw = []
+    # A run that raises, here or in a pool worker, is caught here in the parent.
+    parallel = plan.workers > 1
+    with ProcessPoolExecutor(max_workers=plan.workers) if parallel else nullcontext() as pool:
+        results = [
+            pool.submit(_execute_job, job).result if parallel else partial(_execute_job, job)
+            for job in jobs
+        ]
+        for (_, method, seed), result in zip(jobs, results):
             try:
-                outcomes.append(_execute_job(job))
+                raw.append(result())
             except Exception as exc:  # noqa: BLE001 - individual runs may fail
-                _, method, seed = job
                 failures.append(
                     RunFailure(method, plan.instance_name, seed, f"{type(exc).__name__}: {exc}")
                 )
-                outcomes.append(None)
-    raw = [o for o in outcomes if o is not None]
     raw.sort(key=lambda item: (item[0], item[1]))
 
     records: list[ResultRecord] = []

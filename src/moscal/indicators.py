@@ -11,7 +11,6 @@ differences, normal approximation with tie and continuity corrections beyond.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
 
@@ -20,7 +19,6 @@ import numpy as np
 from .scalarizing import ObjectivePoint, WeightVector, generate_uniform_weights
 
 __all__ = [
-    "IndicatorConfig",
     "R_WEIGHT_GRANULARITY",
     "WilcoxonResult",
     "hypervolume",
@@ -148,27 +146,6 @@ def union_reference_points(point_sets: Iterable) -> tuple[ObjectivePoint, Object
     span = highs - lows
     pad = np.where(span > 0, 0.01 * span, 1.0)
     return tuple(float(v) for v in lows), tuple(float(v) for v in highs + pad)
-
-
-@dataclass(frozen=True)
-class IndicatorConfig:
-    """Frozen record of how one instance's indicators were evaluated."""
-
-    r_weight_count: int
-    reference_point_R: ObjectivePoint
-    reference_point_HV: ObjectivePoint
-
-    def __post_init__(self) -> None:
-        if self.r_weight_count < 1:
-            raise ValueError("r_weight_count must be positive")
-        r_ref = tuple(float(v) for v in self.reference_point_R)
-        hv_ref = tuple(float(v) for v in self.reference_point_HV)
-        if len(r_ref) != len(hv_ref) or len(r_ref) < 2:
-            raise ValueError("reference points must share a dimension >= 2")
-        if not all(np.isfinite(r_ref)) or not all(np.isfinite(hv_ref)):
-            raise ValueError("reference points must be finite")
-        object.__setattr__(self, "reference_point_R", r_ref)
-        object.__setattr__(self, "reference_point_HV", hv_ref)
 
 
 class WilcoxonResult(NamedTuple):

@@ -57,6 +57,10 @@ class ParseError(ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = str(path)
         self.line = line
+        self.message = message
+
+    def __reduce__(self):  # pool workers send errors back pickled
+        return type(self), (self.path, self.line, self.message)
 
 
 def _read_lines(path) -> list[str]:

@@ -27,9 +27,6 @@ __all__ = [
     "draw_random_weight",
     "uniform_weight_count",
     "granularity_for_count",
-    "evaluate_linear",
-    "evaluate_chebycheff",
-    "evaluate_mixed",
 ]
 
 ObjectivePoint = tuple[float, ...]
@@ -195,25 +192,6 @@ class Scalarizer:
 
     def __call__(self, z: Sequence[float]) -> float:
         return float(self.value(np.asarray(z, dtype=float)))
-
-
-def evaluate_linear(z: Sequence[float], weights: WeightVector | Sequence[float]) -> float:
-    """Weighted sum of objectives."""
-    return Scalarizer(weights, ScalarizerSpec("linear"))(z)
-
-
-def evaluate_chebycheff(
-    z: Sequence[float], weights: WeightVector | Sequence[float], z_ref: Sequence[float]
-) -> float:
-    """Weighted Chebycheff distance from the reference point (minimized form)."""
-    return Scalarizer(weights, ScalarizerSpec("chebycheff", tuple(float(v) for v in z_ref)))(z)
-
-
-def evaluate_mixed(z: Sequence[float], weights: WeightVector | Sequence[float], spec: ScalarizerSpec) -> float:
-    """w_linear * linear + w_cheby * chebycheff, mix weights taken from `spec`."""
-    if spec.kind != "mixed":
-        raise ValueError(f"expected a mixed spec, got kind {spec.kind!r}")
-    return Scalarizer(weights, spec)(z)
 
 
 def uniform_weight_count(n_objectives: int, granularity: int) -> int:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import IMPROVEMENT_EPS, ProblemAdapter
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
-from .tsp import _edge_set, _exchange_deltas, _invalid_pairs
+from .tsp import _common_fragments, _edge_set, _exchange_deltas, _invalid_pairs
 
 __all__ = [
     "TspwpInstance",
@@ -284,11 +284,8 @@ def dpx_wp_recombine(
     common_edges = ea & eb
     common_nodes = set(pa.tolist()) & set(pb.tolist())
 
-    adj: dict[int, list[int]] = {c: [] for c in common_nodes}
-    for a, b in common_edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    if common_edges and common_nodes and all(len(adj[c]) == 2 for c in common_nodes):
+    fragments = _common_fragments(sorted(common_nodes), common_edges)
+    if fragments is None:
         return pa.copy()  # identical cyclic sequences
 
     expected = (pa.size + pb.size) / 2.0
@@ -299,29 +296,10 @@ def dpx_wp_recombine(
         p_add = 0.0
     added = [c for c in rem if rng.random() < p_add]
 
-    fragments: list[list[int]] = []
-    seen: set[int] = set()
-    for c in sorted(common_nodes):
-        if c in seen:
-            continue
-        if len(adj[c]) >= 2:
-            continue  # interior of a path, reached from an endpoint
-        frag = [c]
-        seen.add(c)
-        prev, cur = None, c
-        while True:
-            nbrs = [x for x in adj[cur] if x != prev]
-            if not nbrs:
-                break
-            prev, cur = cur, nbrs[0]
-            frag.append(cur)
-            seen.add(cur)
-        fragments.append(frag)
     fragments.extend([c] for c in added)
     if not fragments:
         # degenerate: nothing common and nothing sampled; keep one random city
-        pool = rem if rem else sorted(common_nodes)
-        fragments = [[int(pool[int(rng.integers(len(pool)))])]]
+        fragments = [[int(rem[int(rng.integers(len(rem)))])]]
 
     order = rng.permutation(len(fragments))
     chain: list[int] = []

@@ -122,6 +122,9 @@ def test_csv_malformed_rejected(tmp_path):
     p.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError):
         read_points_csv(p)
+    p.write_text("obj1,obj2\n")
+    with pytest.raises(ValueError, match="bad.csv: archive file holds no points"):
+        read_points_csv(p)
 
 
 @given(

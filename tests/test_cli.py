@@ -8,7 +8,8 @@ import pytest
 
 from moscal.archive import read_points_csv
 from moscal.cli import main
-from moscal.experiment import run_experiment, ExperimentPlan
+from moscal.experiment import PROBLEMS, run_experiment, ExperimentPlan
+from moscal.instances import generate_instance
 
 
 def run_cli(*argv):
@@ -136,6 +137,58 @@ def test_eval_union_and_explicit(tsp_files, tmp_path, capsys):
     assert run_cli("eval", "--archive", str(a), "--ref-mode", "explicit",
                    "--z-ref", "0", "--hv-ref", "1", "1") == 1
     assert "components" in capsys.readouterr().err
+
+
+def test_eval_rejects_unscorable_archives(tmp_path, capsys):
+    two, four, empty = tmp_path / "two.csv", tmp_path / "four.csv", tmp_path / "empty.csv"
+    two.write_text("obj1,obj2\n1,2\n2,1\n")
+    four.write_text("obj1,obj2,obj3,obj4\n1,2,3,4\n4,3,2,1\n")
+    empty.write_text("obj1,obj2\n")
+    capsys.readouterr()
+    for argv, message in (
+        (["--archive", str(four)], "2 or all have 3 objectives, got [4]"),
+        (["--archive", str(four), "--r-weights", "4"], "2 or all have 3 objectives, got [4]"),
+        (["--archive", str(two), str(four), "--ref-mode", "explicit",
+          "--z-ref", "0", "0", "--hv-ref", "9", "9"], "got [2, 4]"),
+        (["--archive", str(empty)], "empty.csv: archive file holds no points"),
+    ):
+        assert run_cli("eval", *argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before the header is printed
+        assert message in captured.err
+
+
+# A small generated instance per problem, as its instance file list.
+PROBLEM_FILES = {
+    "mstsp": lambda d: generate_instance("euclidean", d / "eu", seed=3, n=10),
+    "tspwp": lambda d: generate_instance("euclidean", d / "wp", seed=5, n=10, objectives=1)
+    + generate_instance("profits", d / "wp", seed=6, n=10),
+    "moscp": lambda d: generate_instance("scp", d / "cov", seed=2, rows=10, cols=25),
+}
+
+
+@pytest.mark.parametrize("problem", list(PROBLEMS))
+def test_run_and_plan_write_identical_archives(problem, tmp_path):
+    files = [str(p) for p in PROBLEM_FILES[problem](tmp_path)]
+    out = tmp_path / "cli.csv"
+    assert run_cli(
+        "run", "--problem", problem, "--method", "mogls", "--instance", *files,
+        "--generations", "2", "--weights", "5", "--seed", "4", "--out", str(out),
+    ) == 0
+    plan = ExperimentPlan(
+        problem=problem,
+        instance_paths=tuple(files),
+        output_dir=str(tmp_path / "exp"),
+        generations=2,
+        weight_count=5,
+        methods=("mogls",),
+        replications=1,
+        seed_base=4,
+    )
+    outcome = run_experiment(plan)
+    assert not outcome.failures
+    archive = outcome.archive_dir / f"mogls_{plan.instance_name}_4.csv"
+    assert archive.read_bytes() == out.read_bytes()
 
 
 def test_compare_and_table(tsp_files, tmp_path, capsys):

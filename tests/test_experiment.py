@@ -81,6 +81,26 @@ def test_plan_validation(tsp_paths, tmp_path):
         small_plan((tsp_paths[0], str(tmp_path / "missing.tsp")), tmp_path / "o")
 
 
+@pytest.mark.parametrize(
+    "problem, files, message",
+    [
+        ("tspwp", [("euclidean", dict(n=8, objectives=1))],
+         "tspwp needs exactly two files: coordinates then profits"),
+        ("moscp", [("scp", dict(rows=6, cols=15))] * 2, "moscp needs exactly one covering file"),
+    ],
+    ids=["tspwp-one-file", "moscp-two-files"],
+)
+def test_plan_checks_problem_file_count(tmp_path, problem, files, message):
+    # files that exist and parse, but too few or too many for the problem
+    paths = [
+        str(path)
+        for i, (kind, params) in enumerate(files)
+        for path in generate_instance(kind, tmp_path / f"f{i}", seed=i, **params)
+    ]
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        small_plan(paths, tmp_path / "o", problem=problem)
+
+
 def test_plan_rejects_moead_neighborhood_beyond_weights(tsp_paths, tmp_path):
     with pytest.raises(ValueError, match="neighborhood_size 20 exceeds weight count 6"):
         small_plan(tsp_paths, tmp_path / "o", methods=("mogls", "moead"), neighborhood_size=20)
@@ -147,16 +167,21 @@ def test_run_experiment_all_methods_pairwise_sections(tsp_paths, tmp_path):
 
 
 def test_run_experiment_records_failures(tsp_paths, tmp_path):
-    plan = small_plan(tsp_paths, tmp_path / "out")
-    # corrupt the instance after validation: every run then fails honestly
+    plans = [small_plan(tsp_paths, tmp_path / f"out{w}", workers=w) for w in (1, 2)]
+    # corrupt the instance after validation: every run then fails honestly,
+    # in this process and in pool workers alike
     with open(tsp_paths[0], "w") as fh:
         fh.write("not a number\n")
-    outcome = run_experiment(plan)
-    assert not outcome.records
-    assert len(outcome.failures) == 6
-    assert "INCOMPLETE" in outcome.report
-    assert outcome.results_csv.read_text().strip() == "method,problem,instance,seed,iterations,R,HV"
-    assert len(outcome.failures_csv.read_text().splitlines()) == 1 + 6
+    for plan in plans:
+        outcome = run_experiment(plan)
+        assert not outcome.records
+        assert [(f.method, f.seed) for f in outcome.failures] == [
+            (m, s) for m in plan.methods for s in (100, 101, 102)
+        ]
+        assert all(f.error.startswith("ParseError: ") for f in outcome.failures)
+        assert "INCOMPLETE" in outcome.report
+        assert outcome.results_csv.read_text().strip() == "method,problem,instance,seed,iterations,R,HV"
+        assert len(outcome.failures_csv.read_text().splitlines()) == 1 + 6
 
 
 def test_run_experiment_writes_failures_csv(tsp_paths, tmp_path, monkeypatch):

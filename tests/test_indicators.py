@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from moscal.indicators import (
-    IndicatorConfig,
     WilcoxonResult,
     hypervolume,
     r_measure,
@@ -183,15 +182,6 @@ def test_union_reference_points():
         union_reference_points([])
     with pytest.raises(ValueError):
         union_reference_points([[(1.0, 2.0)], [(1.0, 2.0, 3.0)]])
-
-
-def test_indicator_config_validation():
-    cfg = IndicatorConfig(1000, (0.0, 0.0), (10.0, 10.0))
-    assert cfg.r_weight_count == 1000
-    with pytest.raises(ValueError):
-        IndicatorConfig(0, (0.0, 0.0), (1.0, 1.0))
-    with pytest.raises(ValueError):
-        IndicatorConfig(10, (0.0, 0.0), (1.0, 1.0, 1.0))
 
 
 def test_wilcoxon_all_positive():

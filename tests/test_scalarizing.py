@@ -11,9 +11,6 @@ from moscal.scalarizing import (
     WeightVector,
     as_point,
     draw_random_weight,
-    evaluate_chebycheff,
-    evaluate_linear,
-    evaluate_mixed,
     generate_uniform_weights,
     granularity_for_count,
     uniform_weight_count,
@@ -87,23 +84,31 @@ def test_random_weights_uniform_on_simplex():
     assert np.allclose(draws3.sum(axis=1), 1.0, atol=1e-9)
 
 
+def linear(z, lam):
+    return Scalarizer(lam, ScalarizerSpec("linear"))(z)
+
+
+def chebycheff(z, lam, ref):
+    return Scalarizer(lam, ScalarizerSpec("chebycheff", tuple(ref)))(z)
+
+
 def test_linear_examples():
-    assert evaluate_linear((10.0, 1.0), (0.1, 0.9)) == pytest.approx(1.9)
-    assert evaluate_linear((4.0, 4.0, 4.0), (1 / 3, 1 / 3, 1 / 3)) == pytest.approx(4.0)
+    assert linear((10.0, 1.0), (0.1, 0.9)) == pytest.approx(1.9)
+    assert linear((4.0, 4.0, 4.0), (1 / 3, 1 / 3, 1 / 3)) == pytest.approx(4.0)
 
 
 def test_chebycheff_examples():
-    assert evaluate_chebycheff((10.0, 1.0), (0.1, 0.9), (0.0, 0.0)) == pytest.approx(1.0)
-    assert evaluate_chebycheff((5.0, 5.0), (0.5, 0.5), (5.0, 5.0)) == 0.0
+    assert chebycheff((10.0, 1.0), (0.1, 0.9), (0.0, 0.0)) == pytest.approx(1.0)
+    assert chebycheff((5.0, 5.0), (0.5, 0.5), (5.0, 5.0)) == 0.0
     # zero-weight objective contributes nothing no matter how bad it is
-    assert evaluate_chebycheff((1e9, 2.0), (0.0, 1.0), (0.0, 0.0)) == pytest.approx(2.0)
+    assert chebycheff((1e9, 2.0), (0.0, 1.0), (0.0, 0.0)) == pytest.approx(2.0)
 
 
 def test_mixed_example():
     spec = ScalarizerSpec("mixed", reference_point=(0.0, 0.0), w_linear=0.001, w_cheby=0.999)
     z, lam = (10.0, 1.0), (0.1, 0.9)
     expected = 0.001 * 1.9 + 0.999 * 1.0
-    assert evaluate_mixed(z, lam, spec) == pytest.approx(expected)
+    assert Scalarizer(lam, spec)(z) == pytest.approx(expected)
 
 
 def test_mixed_extremes_bit_match_pure_evaluators():
@@ -112,12 +117,10 @@ def test_mixed_extremes_bit_match_pure_evaluators():
         z = tuple(rng.uniform(-5, 20, size=3))
         lam = draw_random_weight(3, rng)
         ref = tuple(rng.uniform(-5, 5, size=3))
-        pure_lin = evaluate_linear(z, lam)
-        pure_che = evaluate_chebycheff(z, lam, ref)
         lin_spec = ScalarizerSpec("mixed", ref, w_linear=1.0, w_cheby=0.0)
         che_spec = ScalarizerSpec("mixed", ref, w_linear=0.0, w_cheby=1.0)
-        assert evaluate_mixed(z, lam, lin_spec) == pure_lin
-        assert evaluate_mixed(z, lam, che_spec) == pure_che
+        assert Scalarizer(lam, lin_spec)(z) == linear(z, lam)
+        assert Scalarizer(lam, che_spec)(z) == chebycheff(z, lam, ref)
 
 
 def test_scalarizer_spec_validation():
@@ -211,5 +214,5 @@ def test_chebycheff_dominance_monotone(z, seed):
     ref = tuple(rng.uniform(-50, 50, size=j))
     z = tuple(z)
     better = tuple(v - rng.uniform(0, 10) for v in z)
-    assert evaluate_chebycheff(better, lam, ref) <= evaluate_chebycheff(z, lam, ref) + 1e-12
-    assert evaluate_linear(better, lam) <= evaluate_linear(z, lam) + 1e-12
+    assert chebycheff(better, lam, ref) <= chebycheff(z, lam, ref) + 1e-12
+    assert linear(better, lam) <= linear(z, lam) + 1e-12
