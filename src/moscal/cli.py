@@ -21,14 +21,13 @@ import sys
 from pathlib import Path
 
 from .archive import read_points_csv, write_points_csv
-from .engine import METHODS, run_method
+from .engine import METHODS, MethodConfig, run_method
 from .experiment import (
     EXPECTED_RANK_PRESETS,
     PRESETS,
     PROBLEMS,
     ExperimentPlan,
     format_table,
-    make_method_config,
     pairwise_wilcoxon_report,
     read_results_csv,
 )
@@ -155,11 +154,11 @@ def _run(args) -> int:
 
     problem = PROBLEMS[args.problem]
     adapter = problem.adapter(problem.load(args.instance))
-    config = make_method_config(
-        args.method,
-        adapter.n_objectives,
-        generations,
-        weight_count,
+    config = MethodConfig(
+        method=args.method,
+        objectives=adapter.n_objectives,
+        generations=generations,
+        weight_count=weight_count,
         scalarizer=scalarizer,
         expected_rank=expected_rank,
         neighborhood_size=args.neigh,

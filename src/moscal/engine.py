@@ -15,7 +15,7 @@ weight schedule and the parent-selection rule:
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Sequence
 
 import numpy as np
@@ -28,7 +28,7 @@ from .scalarizing import (
     WeightVector,
     draw_random_weight,
     generate_uniform_weights,
-    uniform_weight_count,
+    granularity_for_count,
 )
 
 __all__ = [
@@ -92,8 +92,8 @@ class ProblemAdapter:
 class MethodConfig:
     """Everything one run needs besides the problem itself.
 
-    Uniform-weight methods take `weight_granularity` H (K = C(H+J-1, J-1));
-    random-weight methods take `weight_count` K directly.  `main_iterations`
+    Every method takes `weight_count` K; for the uniform-weight methods K
+    must be a simplex-lattice size C(H+J-1, J-1) with H >= 1.  `main_iterations`
     overrides the G*K main-phase length when experiments need an exact total
     iteration budget across different K.
     """
@@ -102,7 +102,6 @@ class MethodConfig:
     objectives: int
     generations: int
     weight_count: int | None = None
-    weight_granularity: int | None = None
     scalarizer: ScalarizerSpec | None = None
     expected_rank: float = 10.0
     neighborhood_size: int = 20
@@ -118,20 +117,17 @@ class MethodConfig:
             raise ValueError("need at least 2 objectives")
         if self.generations < 0:
             raise ValueError("generations must be >= 0")
-        if self.method in _UNIFORM_METHODS:
-            if self.weight_granularity is None or self.weight_granularity < 1:
-                raise ValueError(f"{self.method} needs weight_granularity >= 1")
-        else:
-            if self.weight_count is None or self.weight_count < 1:
-                raise ValueError(f"{self.method} needs weight_count >= 1")
+        if self.weight_count is None or self.weight_count < 1:
+            raise ValueError(f"{self.method} needs weight_count >= 1")
+        if self.method in _UNIFORM_METHODS and granularity_for_count(self.objectives, self.weight_count) < 1:
+            raise ValueError(f"{self.method} needs at least {self.objectives} weights, got {self.weight_count}")
         if self.expected_rank < 1:
             raise ValueError("expected_rank must be >= 1")
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be >= 2")
-        if self.method == "moead" and self.neighborhood_size > self.initial_iterations():
+        if self.method == "moead" and self.neighborhood_size > self.weight_count:
             raise ValueError(
-                f"moead neighborhood_size {self.neighborhood_size} exceeds "
-                f"weight count {self.initial_iterations()}"
+                f"moead neighborhood_size {self.neighborhood_size} exceeds weight count {self.weight_count}"
             )
         if not 0.0 <= self.mating_probability <= 1.0:
             raise ValueError("mating_probability must be in [0, 1]")
@@ -140,16 +136,9 @@ class MethodConfig:
         if self.main_iterations is not None and self.main_iterations < 0:
             raise ValueError("main_iterations must be >= 0")
 
-    def initial_iterations(self) -> int:
-        """K: the number of initial solutions / weight vectors."""
-        if self.method in _UNIFORM_METHODS:
-            return uniform_weight_count(self.objectives, self.weight_granularity)
-        return self.weight_count
-
     def total_iterations(self) -> int:
-        k = self.initial_iterations()
-        main = self.main_iterations if self.main_iterations is not None else self.generations * k
-        return k + main
+        k = self.weight_count
+        return k + (self.main_iterations if self.main_iterations is not None else self.generations * k)
 
 
 @dataclass
@@ -305,11 +294,7 @@ def _bind(
     reference: np.ndarray | None,
     transform: Any,
 ) -> Scalarizer:
-    if spec.kind != "linear":
-        if reference is None:
-            raise ValueError("chebycheff/mixed scalarizer needs a reference point")
-        spec = spec.with_reference(tuple(float(v) for v in reference))
-    return Scalarizer(weights, spec, transform=transform)
+    return Scalarizer(weights, spec, reference, transform)
 
 
 def _streams(seed: int) -> dict[str, np.random.Generator]:
@@ -331,11 +316,12 @@ def run_method(config: MethodConfig, problem: ProblemAdapter) -> RunResult:
     transform = None if type(problem).normalize_points is ProblemAdapter.normalize_points else problem.normalize_points
 
     if config.method in _UNIFORM_METHODS:
-        vectors = generate_uniform_weights(config.objectives, config.weight_granularity)
+        granularity = granularity_for_count(config.objectives, config.weight_count)
+        vectors = generate_uniform_weights(config.objectives, granularity)
         schedule: RandomWeightSchedule | CyclicWeightSchedule = CyclicWeightSchedule(vectors)
     else:
         schedule = RandomWeightSchedule(config.objectives, rngs["weights"])
-    k_init = config.initial_iterations()
+    k_init = config.weight_count
 
     state = MoeadState.build(schedule.vectors, config.neighborhood_size) if config.method == "moead" else None
     archive = ParetoArchive(config.objectives)

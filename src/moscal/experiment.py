@@ -34,7 +34,7 @@ from .indicators import (
     wilcoxon_signed_rank,
 )
 from .instances import load_tsp_instance, load_tspwp_instance, parse_scp
-from .scalarizing import ScalarizerSpec, granularity_for_count
+from .scalarizing import ScalarizerSpec
 from .scp import ScpAdapter
 from .tsp import TspAdapter
 from .tspwp import TspwpAdapter
@@ -50,7 +50,6 @@ __all__ = [
     "ResultRecord",
     "RunFailure",
     "format_table",
-    "make_method_config",
     "pairwise_wilcoxon_report",
     "read_results_csv",
     "run_experiment",
@@ -67,7 +66,7 @@ class Problem:
     adapter: type[ProblemAdapter]
 
     def load(self, paths: Sequence):
-        if self.file_count is not None and len(paths) != self.file_count:
+        if not paths or (self.file_count is not None and len(paths) != self.file_count):
             raise ValueError(self.needs)
         return self.loader(*paths)
 
@@ -107,42 +106,6 @@ EXPECTED_RANK_PRESETS = {
     "kroabc100": 10.0,
     "clusterabc300": 8.0,
 }
-
-
-def make_method_config(
-    method: str,
-    objectives: int,
-    generations: int,
-    weight_count: int,
-    *,
-    scalarizer: ScalarizerSpec | None = None,
-    expected_rank: float = 10.0,
-    neighborhood_size: int = 20,
-    mating_probability: float = 0.9,
-    max_replacements: int = 2,
-    seed: int = 0,
-    main_iterations: int | None = None,
-) -> MethodConfig:
-    """A MethodConfig with the weight budget expressed the way the method
-    needs it: a count for random-weight methods, a lattice granularity for
-    uniform-weight methods (must match the count exactly)."""
-    kwargs = dict(
-        method=method,
-        objectives=objectives,
-        generations=generations,
-        scalarizer=scalarizer,
-        expected_rank=expected_rank,
-        neighborhood_size=neighborhood_size,
-        mating_probability=mating_probability,
-        max_replacements=max_replacements,
-        seed=seed,
-        main_iterations=main_iterations,
-    )
-    if method in ("umogls", "moead"):
-        kwargs["weight_granularity"] = granularity_for_count(objectives, weight_count)
-    else:
-        kwargs["weight_count"] = weight_count
-    return MethodConfig(**kwargs)
 
 
 @dataclass(frozen=True)
@@ -205,9 +168,9 @@ class ExperimentPlan:
         for p in self.instance_paths:
             if not Path(p).is_file():
                 raise ValueError(f"instance file not found: {p}")
+        instance = self.load_instance()
         if not self.instance_name:
             object.__setattr__(self, "instance_name", Path(self.instance_paths[0]).stem)
-        instance = self.load_instance()
         object.__setattr__(self, "_n_objectives", int(instance.n_objectives))
         budgets = {
             self.config_for(m, seed=self.seed_base).total_iterations()
@@ -227,11 +190,11 @@ class ExperimentPlan:
         return PROBLEMS[self.problem].adapter(instance)
 
     def config_for(self, method: str, seed: int) -> MethodConfig:
-        return make_method_config(
-            method,
-            self.n_objectives,
-            self.generations,
-            self.weight_count,
+        return MethodConfig(
+            method=method,
+            objectives=self.n_objectives,
+            generations=self.generations,
+            weight_count=self.weight_count,
             scalarizer=self.scalarizer,
             expected_rank=self.expected_rank,
             neighborhood_size=self.neighborhood_size,

@@ -35,6 +35,9 @@ WEIGHT_SUM_TOL = 1e-9
 
 KINDS = ("linear", "chebycheff", "mixed")
 
+# (w_linear, w_cheby): the fixed pairs of linear and chebycheff, the default of mixed
+_MIX_WEIGHTS = {"linear": (1.0, 0.0), "chebycheff": (0.0, 1.0), "mixed": (0.5, 0.5)}
+
 
 def as_point(values: Iterable[float]) -> ObjectivePoint:
     """Validate and freeze an objective point (length >= 2, all finite)."""
@@ -70,14 +73,14 @@ class WeightVector:
 
 @dataclass(frozen=True)
 class ScalarizerSpec:
-    """Scalarizing-function template: kind, mix weights, optional reference.
+    """Scalarizing-function template: the kind and its mix weights.
 
-    The reference point is required for chebycheff/mixed evaluation but may be
-    bound later (the engine maintains it online), hence it is optional here.
+    Only the mixed kind takes mix weights; linear and chebycheff keep their
+    fixed pairs (1, 0) and (0, 1).  The reference point is bound with the
+    weights, by `Scalarizer`, because the engine moves it during a run.
     """
 
     kind: str = "linear"
-    reference_point: tuple[float, ...] | None = None
     w_linear: float | None = None
     w_cheby: float | None = None
 
@@ -86,50 +89,52 @@ class ScalarizerSpec:
             raise ValueError(f"unknown scalarizer kind {self.kind!r}")
         w_lin, w_che = self.w_linear, self.w_cheby
         if w_lin is None and w_che is None:
-            w_lin, w_che = {"linear": (1.0, 0.0), "chebycheff": (0.0, 1.0), "mixed": (0.5, 0.5)}[self.kind]
+            w_lin, w_che = _MIX_WEIGHTS[self.kind]
         elif w_lin is None:
             w_lin = 1.0 - w_che
         elif w_che is None:
             w_che = 1.0 - w_lin
         object.__setattr__(self, "w_linear", float(w_lin))
         object.__setattr__(self, "w_cheby", float(w_che))
+        if self.kind != "mixed" and (self.w_linear, self.w_cheby) != _MIX_WEIGHTS[self.kind]:
+            raise ValueError(
+                f"{self.kind} scalarizer has fixed mix weights {_MIX_WEIGHTS[self.kind]}; "
+                "other mix weights need kind 'mixed'"
+            )
         if self.w_linear < 0.0 or self.w_cheby < 0.0:
             raise ValueError("mix weights must be nonnegative")
         if abs(self.w_linear + self.w_cheby - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"mix weights sum to {self.w_linear + self.w_cheby!r}, expected 1")
 
-    def with_reference(self, reference_point: Sequence[float]) -> "ScalarizerSpec":
-        return ScalarizerSpec(self.kind, tuple(float(v) for v in reference_point), self.w_linear, self.w_cheby)
-
 
 class Scalarizer:
-    """A scalarizing function bound to one weight vector.
+    """A scalarizing function bound to one weight vector and reference point.
 
-    `transform`, when given, maps raw objective points into the space the
-    function is defined on (e.g. range normalization); the reference point is
-    expressed in that transformed space.
+    `reference` is needed by the chebycheff and mixed kinds and ignored by
+    linear.  `transform`, when given, maps raw objective points into the
+    space the function is defined on (e.g. range normalization); the
+    reference point is expressed in that transformed space.
     """
 
     def __init__(
         self,
         weights: WeightVector | Sequence[float],
         spec: ScalarizerSpec,
+        reference: Sequence[float] | np.ndarray | None = None,
         transform: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        lam = weights.lambdas if isinstance(weights, WeightVector) else tuple(float(v) for v in weights)
-        WeightVector(lam)  # reuse invariant checks
-        self.weights = np.asarray(lam, dtype=float)
+        if not isinstance(weights, WeightVector):
+            weights = WeightVector(tuple(float(v) for v in weights))
+        self.weights = np.asarray(weights.lambdas, dtype=float)
         self.spec = spec
         self.transform = transform
+        self.reference = None
         if spec.kind != "linear":
-            if spec.reference_point is None:
+            if reference is None:
                 raise ValueError(f"{spec.kind} scalarizer needs a reference point")
-            ref = np.asarray(spec.reference_point, dtype=float)
-            if ref.shape != self.weights.shape:
+            self.reference = np.array(reference, dtype=float)
+            if self.reference.shape != self.weights.shape:
                 raise ValueError("reference point and weights disagree on dimension")
-            self.reference = ref
-        else:
-            self.reference = None
 
     @property
     def kind(self) -> str:

@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import IMPROVEMENT_EPS, ProblemAdapter
-from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
+from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
     "TspInstance",
@@ -357,6 +357,3 @@ class TspAdapter(ProblemAdapter):
 
     def end_initial_phase(self, solutions: Sequence[np.ndarray]) -> None:
         self.candidates = build_candidate_lists(solutions)
-
-    def default_scalarizer(self) -> ScalarizerSpec:
-        return ScalarizerSpec("linear")

@@ -34,6 +34,9 @@ RANGE_PADDING = 0.01
 # the two extreme weight vectors used for range estimation
 _BOUNDARY_WEIGHTS = ((0.999, 0.001), (0.001, 0.999))
 
+# the scalarizer of range estimation and of the adapter's runs
+_MIXED = ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
+
 
 @dataclass(frozen=True)
 class TspwpInstance:
@@ -251,9 +254,7 @@ def estimate_ranges(instance: TspwpInstance, rng: np.random.Generator) -> Object
     results = []
     for lam in _BOUNDARY_WEIGHTS:
         start = random_subtour(instance, rng)
-        ref = tuple(float(v) for v in tspwp_evaluate(instance, start))
-        spec = ScalarizerSpec("mixed", ref, w_linear=0.001, w_cheby=0.999)
-        end = tspwp_local_search(instance, start, Scalarizer(lam, spec))
+        end = tspwp_local_search(instance, start, Scalarizer(lam, _MIXED, tspwp_evaluate(instance, start)))
         results.append(tspwp_evaluate(instance, end))
     pts = np.array(results, dtype=float)
     lows, highs = pts.min(axis=0), pts.max(axis=0)
@@ -340,4 +341,4 @@ class TspwpAdapter(ProblemAdapter):
         return self.ranges.normalize(points)
 
     def default_scalarizer(self) -> ScalarizerSpec:
-        return ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
+        return _MIXED

@@ -218,9 +218,15 @@ def _mc_hypervolume(points: np.ndarray, reference, n_samples: int, seed: int) ->
         m = min(200_000, remaining)
         remaining -= m
         samples = low + rng.random((m, pts.shape[1])) * span
+        # one contiguous row per objective: comparing whole rows is exact
+        # and much faster than reducing (samples >= p) over its short axis
+        columns = np.ascontiguousarray(samples.T)
         dominated = np.zeros(m, dtype=bool)
         for p in pts:
-            dominated |= (samples >= p).all(axis=1)
+            hit = np.greater_equal(columns[0], p[0])
+            for j in range(1, pts.shape[1]):
+                hit &= np.greater_equal(columns[j], p[j])
+            dominated |= hit
         hits += int(dominated.sum())
     return box * hits / n_samples
 
@@ -495,14 +501,9 @@ def test_criterion_6_local_search_contracts():
     coords = generate_euclidean_coords(15, rng, coord_range=500)
     profits = rng.integers(1, 100, size=15)
     wp = TspwpInstance(euclidean_cost_matrix(coords), profits)
-    mixed = ScalarizerSpec(
-        "mixed",
-        reference_point=(0.0, -float(profits.sum())),
-        w_linear=0.001,
-        w_cheby=0.999,
-    )
+    mixed = ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
     for case in range(10):
-        scal = Scalarizer(draw_random_weight(2, rng), mixed)
+        scal = Scalarizer(draw_random_weight(2, rng), mixed, (0.0, -float(profits.sum())))
         trace = []
         tspwp_local_search(wp, random_subtour(wp, rng), scal, value_trace=trace)
         if not _monotone(trace):

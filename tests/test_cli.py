@@ -83,6 +83,13 @@ def test_run_flag_conflicts(tsp_files, tmp_path, capsys):
     assert run_cli(*base) == 1  # neither preset nor explicit budget
     assert run_cli(*base, "--generations", "1", "--weights", "6",
                    "--expected-rank", "5", "--er-preset", "kroab100") == 1
+    capsys.readouterr()
+    # mix weights apply to the mixed scalarizer only
+    for kind, flag in (("linear", "--w-linear"), ("chebycheff", "--w-cheby")):
+        assert run_cli(*base, "--generations", "1", "--weights", "6",
+                       "--scalarizer", kind, flag, "0.3") == 1
+        assert "fixed mix weights" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_run_tspwp(tmp_path, capsys):

@@ -60,7 +60,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         MethodConfig(method="momsls", objectives=2, generations=1)  # missing K
     with pytest.raises(ValueError):
-        MethodConfig(method="umogls", objectives=2, generations=1, weight_count=5)  # needs H
+        MethodConfig(method="umogls", objectives=2, generations=1)  # missing K
     with pytest.raises(ValueError):
         momsls_config(expected_rank=0.5)
     with pytest.raises(ValueError):
@@ -70,23 +70,22 @@ def test_config_validation():
 
 
 def test_config_rejects_moead_neighborhood_beyond_weights():
-    # H=3 gives K=4 weight vectors, so at most 4 neighbors per subproblem
+    # K=4 weight vectors, so at most 4 neighbors per subproblem
     with pytest.raises(ValueError, match="neighborhood_size 5 exceeds weight count 4"):
-        MethodConfig(method="moead", objectives=2, generations=1, weight_granularity=3, neighborhood_size=5)
+        MethodConfig(method="moead", objectives=2, generations=1, weight_count=4, neighborhood_size=5)
     assert MethodConfig(
-        method="moead", objectives=2, generations=1, weight_granularity=3, neighborhood_size=4
-    ).initial_iterations() == 4
+        method="moead", objectives=2, generations=1, weight_count=4, neighborhood_size=4
+    ).total_iterations() == 8
     # only moead keeps neighborhoods
-    MethodConfig(method="umogls", objectives=2, generations=1, weight_granularity=3, neighborhood_size=5)
+    MethodConfig(method="umogls", objectives=2, generations=1, weight_count=4, neighborhood_size=5)
 
 
 def test_iteration_accounting():
     assert momsls_config(weight_count=101, generations=50).total_iterations() == 5151
-    cfg = MethodConfig(method="umogls", objectives=2, generations=3, weight_granularity=100)
-    assert cfg.initial_iterations() == 101
+    cfg = MethodConfig(method="umogls", objectives=2, generations=3, weight_count=101)
     assert cfg.total_iterations() == 101 + 3 * 101
-    cfg3 = MethodConfig(method="moead", objectives=3, generations=5, weight_granularity=81)
-    assert cfg3.initial_iterations() == 3403
+    cfg3 = MethodConfig(method="moead", objectives=3, generations=5, weight_count=3403)
+    assert cfg3.total_iterations() == 3403 + 5 * 3403
     override = momsls_config(weight_count=301, generations=99, main_iterations=911)
     assert override.total_iterations() == 301 + 911
 
@@ -237,13 +236,9 @@ def test_equal_local_search_budget_across_methods():
     counts = {}
     for method in ["momsls", "mogls", "umogls", "moead"]:
         problem = RecordingProblem()
-        if method in ("umogls", "moead"):
-            cfg = MethodConfig(
-                method=method, objectives=2, generations=3, weight_granularity=4,
-                neighborhood_size=3, seed=5,
-            )
-        else:
-            cfg = MethodConfig(method=method, objectives=2, generations=3, weight_count=5, seed=5)
+        cfg = MethodConfig(
+            method=method, objectives=2, generations=3, weight_count=5, neighborhood_size=3, seed=5
+        )
         res = run_method(cfg, problem)
         counts[method] = len(problem.ls_inputs)
         assert res.iteration_count == 5 + 3 * 5
@@ -254,7 +249,7 @@ def test_mogls_umogls_differ_only_in_weight_sequence():
     p_mogls, p_umogls = RecordingProblem(), RecordingProblem()
     run_method(MethodConfig(method="mogls", objectives=2, generations=2, weight_count=5, seed=42), p_mogls)
     run_method(
-        MethodConfig(method="umogls", objectives=2, generations=2, weight_granularity=4, seed=42),
+        MethodConfig(method="umogls", objectives=2, generations=2, weight_count=5, seed=42),
         p_umogls,
     )
     # same construction stream: identical initial random solutions
@@ -283,7 +278,7 @@ def test_run_deterministic_given_seed():
 def test_run_moead_incumbents_seeded_and_updated():
     problem = RecordingProblem()
     cfg = MethodConfig(
-        method="moead", objectives=2, generations=2, weight_granularity=4, neighborhood_size=3, seed=7
+        method="moead", objectives=2, generations=2, weight_count=5, neighborhood_size=3, seed=7
     )
     run_method(cfg, problem)
     # every main-phase parent pair comes from incumbents, i.e. previous search results

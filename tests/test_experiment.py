@@ -3,13 +3,12 @@ import pytest
 
 from moscal.archive import read_points_csv
 from moscal import experiment
-from moscal.engine import METHODS
+from moscal.engine import METHODS, MethodConfig
 from moscal.experiment import (
     EXPECTED_RANK_PRESETS,
     PRESETS,
     ExperimentPlan,
     format_table,
-    make_method_config,
     read_results_csv,
     run_experiment,
 )
@@ -50,19 +49,22 @@ def test_parameter_presets_table():
     assert EXPECTED_RANK_PRESETS["clusterabc300"] == 8.0
 
 
-def test_make_method_config_weight_budgets():
-    random_cfg = make_method_config("mogls", 2, 17, 301)
-    assert random_cfg.weight_count == 301 and random_cfg.weight_granularity is None
-    uniform_cfg = make_method_config("umogls", 2, 17, 301)
-    assert uniform_cfg.weight_granularity == 300
-    moead3 = make_method_config("moead", 3, 5, 3403)
-    assert moead3.weight_granularity == 81
-    with pytest.raises(ValueError):
-        make_method_config("moead", 3, 5, 3404)  # not a lattice count for J=3
+def test_method_config_weight_budgets():
+    # one weight count K for every method
     same = [
-        make_method_config(m, 2, 17, 301).total_iterations() for m in METHODS
+        MethodConfig(method=m, objectives=2, generations=17, weight_count=301).total_iterations()
+        for m in METHODS
     ]
-    assert len(set(same)) == 1
+    assert same == [301 + 17 * 301] * len(METHODS)
+    assert MethodConfig(method="moead", objectives=3, generations=5, weight_count=3403).weight_count == 3403
+    with pytest.raises(ValueError, match="not a simplex-lattice count"):
+        MethodConfig(method="moead", objectives=3, generations=5, weight_count=3404)
+    # uniform weights need a lattice with H >= 1; K=1 would be H=0
+    for method in ("umogls", "moead"):
+        with pytest.raises(ValueError, match="needs at least 2 weights, got 1"):
+            MethodConfig(method=method, objectives=2, generations=5, weight_count=1, neighborhood_size=2)
+    for method in ("momsls", "mogls"):
+        assert MethodConfig(method=method, objectives=2, generations=5, weight_count=1).total_iterations() == 6
 
 
 def test_plan_validation(tsp_paths, tmp_path):
@@ -87,8 +89,9 @@ def test_plan_validation(tsp_paths, tmp_path):
         ("tspwp", [("euclidean", dict(n=8, objectives=1))],
          "tspwp needs exactly two files: coordinates then profits"),
         ("moscp", [("scp", dict(rows=6, cols=15))] * 2, "moscp needs exactly one covering file"),
+        ("mstsp", [], "mstsp needs one coordinate file per objective"),
     ],
-    ids=["tspwp-one-file", "moscp-two-files"],
+    ids=["tspwp-one-file", "moscp-two-files", "mstsp-no-files"],
 )
 def test_plan_checks_problem_file_count(tmp_path, problem, files, message):
     # files that exist and parse, but too few or too many for the problem

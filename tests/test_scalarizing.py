@@ -89,7 +89,7 @@ def linear(z, lam):
 
 
 def chebycheff(z, lam, ref):
-    return Scalarizer(lam, ScalarizerSpec("chebycheff", tuple(ref)))(z)
+    return Scalarizer(lam, ScalarizerSpec("chebycheff"), ref)(z)
 
 
 def test_linear_examples():
@@ -105,10 +105,10 @@ def test_chebycheff_examples():
 
 
 def test_mixed_example():
-    spec = ScalarizerSpec("mixed", reference_point=(0.0, 0.0), w_linear=0.001, w_cheby=0.999)
+    spec = ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
     z, lam = (10.0, 1.0), (0.1, 0.9)
     expected = 0.001 * 1.9 + 0.999 * 1.0
-    assert Scalarizer(lam, spec)(z) == pytest.approx(expected)
+    assert Scalarizer(lam, spec, (0.0, 0.0))(z) == pytest.approx(expected)
 
 
 def test_mixed_extremes_bit_match_pure_evaluators():
@@ -117,21 +117,28 @@ def test_mixed_extremes_bit_match_pure_evaluators():
         z = tuple(rng.uniform(-5, 20, size=3))
         lam = draw_random_weight(3, rng)
         ref = tuple(rng.uniform(-5, 5, size=3))
-        lin_spec = ScalarizerSpec("mixed", ref, w_linear=1.0, w_cheby=0.0)
-        che_spec = ScalarizerSpec("mixed", ref, w_linear=0.0, w_cheby=1.0)
-        assert Scalarizer(lam, lin_spec)(z) == linear(z, lam)
-        assert Scalarizer(lam, che_spec)(z) == chebycheff(z, lam, ref)
+        lin_spec = ScalarizerSpec("mixed", w_linear=1.0, w_cheby=0.0)
+        che_spec = ScalarizerSpec("mixed", w_linear=0.0, w_cheby=1.0)
+        assert Scalarizer(lam, lin_spec, ref)(z) == linear(z, lam)
+        assert Scalarizer(lam, che_spec, ref)(z) == chebycheff(z, lam, ref)
 
 
 def test_scalarizer_spec_validation():
     with pytest.raises(ValueError):
         ScalarizerSpec("nonsense")
     with pytest.raises(ValueError):
-        ScalarizerSpec("mixed", (0.0, 0.0), w_linear=0.7, w_cheby=0.7)
+        ScalarizerSpec("mixed", w_linear=0.7, w_cheby=0.7)
+    # mix weights belong to the mixed kind; the others keep their fixed pair
+    for kind, mix in (("linear", dict(w_linear=0.3)), ("linear", dict(w_cheby=0.5)),
+                      ("chebycheff", dict(w_cheby=0.2)), ("chebycheff", dict(w_linear=0.5, w_cheby=0.5))):
+        with pytest.raises(ValueError, match="fixed mix weights"):
+            ScalarizerSpec(kind, **mix)
+    assert ScalarizerSpec("linear", w_linear=1.0) == ScalarizerSpec("linear")
+    assert ScalarizerSpec("chebycheff", w_linear=0.0, w_cheby=1.0) == ScalarizerSpec("chebycheff")
     with pytest.raises(ValueError):
         Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff"))  # missing reference
     with pytest.raises(ValueError):
-        Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff", (0.0, 0.0, 0.0)))
+        Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff"), (0.0, 0.0, 0.0))
     s = Scalarizer((0.5, 0.5), ScalarizerSpec("linear"))
     with pytest.raises(ValueError):
         s((1.0, 2.0, 3.0))
@@ -142,10 +149,10 @@ def test_scalarizer_batch_matches_scalar_calls():
     pts = rng.uniform(0, 10, size=(40, 2))
     for spec in [
         ScalarizerSpec("linear"),
-        ScalarizerSpec("chebycheff", (0.0, 0.0)),
-        ScalarizerSpec("mixed", (0.0, 0.0), w_linear=0.001, w_cheby=0.999),
+        ScalarizerSpec("chebycheff"),
+        ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999),
     ]:
-        s = Scalarizer((0.3, 0.7), spec)
+        s = Scalarizer((0.3, 0.7), spec, (0.0, 0.0))
         batch = s.value(pts)
         assert batch.shape == (40,)
         for row, val in zip(pts, batch):
@@ -157,7 +164,8 @@ def test_scalarizer_transform_applies_before_scalarizing():
     spans = np.array([5.0, 2.0])
     s = Scalarizer(
         (0.5, 0.5),
-        ScalarizerSpec("chebycheff", (0.0, 0.0)),
+        ScalarizerSpec("chebycheff"),
+        (0.0, 0.0),
         transform=lambda z: (z - lows) / spans,
     )
     assert s((15.0, -2.0)) == pytest.approx(0.5)
@@ -177,7 +185,7 @@ def test_chebycheff_bit_matches_broadcast_max():
         if case % 5 == 0:
             lam[0], lam[1] = 0.0, lam[0] + lam[1]  # zero weights give -0.0 terms
             z[..., 0] = -abs(z[..., 0])
-        s = Scalarizer(tuple(lam), ScalarizerSpec("chebycheff", ref))
+        s = Scalarizer(tuple(lam), ScalarizerSpec("chebycheff"), ref)
         expected = (s.weights * (z - np.asarray(ref))).max(axis=-1)
         assert np.asarray(s.value(z)).tobytes() == np.asarray(expected).tobytes(), case
 

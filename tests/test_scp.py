@@ -310,7 +310,7 @@ def padded_cover(inst, rng):
 
 def oracle_scalarizer(kind, n_obj, rng):
     ref = tuple(float(v) for v in rng.uniform(0, 20, size=n_obj)) if kind != "linear" else None
-    return Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind, ref))
+    return Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind), ref)
 
 
 def assert_matches_frozen_search(inst, start, scalarizer, ties=None):
@@ -412,7 +412,7 @@ def test_adapter_run_smoke():
     inst = random_scp(12, 25, rng)
     adapter = ScpAdapter(inst)
     assert adapter.default_scalarizer().kind == "linear"
-    cfg = MethodConfig(method="umogls", objectives=2, generations=2, weight_granularity=7, seed=4)
+    cfg = MethodConfig(method="umogls", objectives=2, generations=2, weight_count=8, seed=4)
     res = run_method(cfg, adapter)
     assert res.iteration_count == 8 * 3
     assert len(res.archive) >= 1

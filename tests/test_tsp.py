@@ -173,7 +173,7 @@ def test_two_opt_nonlinear_scalarizer_monotone():
     inst = random_instance(10, 2, rng)
     start = random_tour(inst, rng)
     ref = tuple(float(v) for v in tsp_evaluate(inst, start))
-    s = Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff", ref))
+    s = Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff"), ref)
     trace = []
     out = two_opt_local_search(inst, start, s, value_trace=trace)
     assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -282,7 +282,7 @@ def test_two_opt_matches_frozen_dense_oracle():
             inst = random_instance(n, n_obj, rng)
         kind = kinds[case % 3]
         ref = tuple(float(v) for v in rng.uniform(0, 50, size=n_obj)) if kind != "linear" else None
-        s = Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind, ref))
+        s = Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind), ref)
         lists = None
         list_kind = list_kinds[(case // 3) % 3]
         if list_kind == "tours":

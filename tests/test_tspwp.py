@@ -138,8 +138,7 @@ def test_local_search_monotone_and_locally_optimal():
     spec = ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
     for trial in range(8):
         start = random_subtour(inst, rng)
-        ref = tuple(float(v) for v in tspwp_evaluate(inst, start))
-        s = Scalarizer((0.4, 0.6), spec.with_reference(ref))
+        s = Scalarizer((0.4, 0.6), spec, tspwp_evaluate(inst, start))
         trace = []
         out = tspwp_local_search(inst, start, s, value_trace=trace)
         assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -292,7 +291,7 @@ def test_adapter_default_scalarizer_is_mixed():
     assert spec.w_linear == pytest.approx(0.001)
 
 
-def frozen_value(weights, spec, ranges, z):
+def frozen_value(weights, spec, reference, ranges, z):
     """Oracle: `Scalarizer.value` and `ObjectiveRanges.normalize` as first
     written, broadcasting over the last axis and reducing it with `max`."""
     z = np.asarray(z, dtype=float)
@@ -302,7 +301,7 @@ def frozen_value(weights, spec, ranges, z):
     w = np.asarray(weights, dtype=float)
     if spec.kind == "linear":
         return z @ w
-    cheby = (w * (z - np.asarray(spec.reference_point))).max(axis=-1)
+    cheby = (w * (z - np.asarray(reference))).max(axis=-1)
     if spec.kind == "chebycheff":
         return cheby
     if spec.w_cheby == 0.0:
@@ -312,7 +311,7 @@ def frozen_value(weights, spec, ranges, z):
     return spec.w_linear * (z @ w) + spec.w_cheby * cheby
 
 
-def frozen_local_search(instance, subtour, weights, spec, ranges, value_trace, ties):
+def frozen_local_search(instance, subtour, weights, spec, reference, ranges, value_trace, ties):
     """Oracle: the four-family descent as first written, re-deriving every
     step from scratch (setdiff1d, np.roll, np.stack, tspwp_evaluate).
 
@@ -321,7 +320,7 @@ def frozen_local_search(instance, subtour, weights, spec, ranges, value_trace, t
     value is shared by more than one family ("between")."""
 
     def value_of(cand):
-        return frozen_value(weights, spec, ranges, cand)
+        return frozen_value(weights, spec, reference, ranges, cand)
 
     def family_min(name, vals):
         ok = vals[np.isfinite(vals)]
@@ -442,11 +441,11 @@ def test_local_search_matches_frozen_oracle():
             ref_point = np.array(tspwp_evaluate(inst, random_subtour(inst, rng)))
             ref = tuple(float(v) for v in (ranges.normalize(ref_point) if ranges else ref_point))
         w_linear = (0.001, 0.5)[rep % 2] if kind == "mixed" else None
-        spec = ScalarizerSpec(kind, ref, w_linear=w_linear)
-        s = Scalarizer(weights, spec, transform=ranges.normalize if ranges else None)
+        spec = ScalarizerSpec(kind, w_linear=w_linear)
+        s = Scalarizer(weights, spec, ref, transform=ranges.normalize if ranges else None)
         start = rng.choice(n, size=n if size is None else size, replace=False)
         expected_trace, trace = [], []
-        expected = frozen_local_search(inst, start, weights, spec, ranges, expected_trace, ties)
+        expected = frozen_local_search(inst, start, weights, spec, ref, ranges, expected_trace, ties)
         out = tspwp_local_search(inst, start, s, value_trace=trace)
         assert out.tolist() == expected.tolist(), case
         assert trace == expected_trace, case
@@ -471,11 +470,11 @@ def test_value_columns_bit_matches_value_on_search_shapes():
         kind = ("linear", "chebycheff", "mixed")[case % 3]
         normalized = case % 2 == 1
         ref = tuple(float(v) for v in rng.uniform(-0.1, 0.5, size=2)) if kind != "linear" else None
-        spec = ScalarizerSpec(kind, ref, w_linear=0.001) if kind == "mixed" else ScalarizerSpec(kind, ref)
+        spec = ScalarizerSpec(kind, w_linear=0.001) if kind == "mixed" else ScalarizerSpec(kind)
         weights = tuple(rng.dirichlet(np.ones(2)))
-        s = Scalarizer(weights, spec, transform=ranges.normalize if normalized else None)
+        s = Scalarizer(weights, spec, ref, transform=ranges.normalize if normalized else None)
         for name, columns in shapes.items():
             stacked = np.stack(np.broadcast_arrays(*columns), axis=-1)
-            expected = frozen_value(weights, spec, ranges if normalized else None, stacked)
+            expected = frozen_value(weights, spec, ref, ranges if normalized else None, stacked)
             assert s.value(stacked).tobytes() == expected.tobytes(), (case, name)
             assert s.value_columns(*columns).tobytes() == expected.tobytes(), (case, name)
