@@ -18,7 +18,10 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
+
+import numpy as np
 
 from .archive import read_points_csv, write_points_csv
 from .engine import METHODS, MethodConfig, run_method
@@ -183,7 +186,8 @@ def _run(args) -> int:
         "mating_probability": args.delta,
         "max_replacements": args.nr,
         "main_iterations": args.main_iterations,
-        "scalarizer": args.scalarizer,
+        # the resolved mix weights, or null for the adapter's default scalarizer
+        "scalarizer": None if scalarizer is None else asdict(scalarizer),
         "iterations": result.iteration_count,
         "archive_size": len(result.archive),
         "wallclock_ms": int(round(1000 * result.wallclock_s)),
@@ -213,11 +217,12 @@ def _eval(args) -> int:
             raise ValueError("--z-ref/--hv-ref apply to --ref-mode explicit only")
         z_ref, hv_ref = union_reference_points(point_sets)
     if args.r_weights is None:
-        weights = r_weight_set(n_objectives)
+        weight_set = r_weight_set(n_objectives)
     else:
-        weights = generate_uniform_weights(
+        weight_set = generate_uniform_weights(
             n_objectives, granularity_for_count(n_objectives, args.r_weights)
         )
+    weights = np.asarray([tuple(w) for w in weight_set], dtype=float)
     print("archive,points,R,HV")
     for path, points in zip(args.archive, point_sets):
         r = r_measure(points, weights, z_ref)

@@ -226,11 +226,15 @@ class MoeadState:
         if neighborhood_size > k:
             raise ValueError(f"neighborhood_size {neighborhood_size} exceeds weight count {k}")
         mat = np.array([w.lambdas for w in weights])
+        cols = np.ascontiguousarray(mat.T)
         neigh = np.empty((k, neighborhood_size), dtype=np.int64)
         chunk = max(1, 2_000_000 // max(k, 1))
         for start in range(0, k, chunk):
             block = mat[start : start + chunk]
-            d2 = ((block[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
+            # squared distances summed one objective at a time, left to right
+            d2 = (block[:, 0, None] - cols[0]) ** 2
+            for j in range(1, cols.shape[0]):
+                d2 += (block[:, j, None] - cols[j]) ** 2
             for r in range(block.shape[0]):
                 order = np.lexsort((np.arange(k), d2[r]))
                 neigh[start + r] = order[:neighborhood_size]

@@ -5,12 +5,24 @@ any archive point achieves against a shared reference point (lower is better).
 Hypervolume: exact Lebesgue measure of the region dominated by the archive up
 to a reference point strictly dominated by every archive point, for 2 or 3
 objectives (sorted sweep, and slicing along the third objective).
+
+Exactness contract: the order of float operations in both scores is fixed,
+so a seed gives the same R and HV bits (and results.csv bytes) in every
+version:
+- R: each chebycheff value lambda_j * (z_j - ref_j) is one elementwise
+  product, maxed one objective at a time; per chunk of weights the minima
+  go through `sum`, and the chunk totals are added in Python.
+- HV: the 2-D staircase terms (next_x - x) * (ref_y - y) are summed left to
+  right (`cumsum`), never pairwise (`sum`); in 3-D one staircase per distinct
+  third-objective level, an O(M^2) loop for M points.
+
 Wilcoxon signed-rank: two-sided paired test, exact for up to 20 nonzero
 differences, normal approximation with tie and continuity corrections beyond.
 """
 
 from __future__ import annotations
 
+from functools import cache
 from statistics import NormalDist
 from typing import Iterable, NamedTuple, Sequence
 
@@ -50,15 +62,16 @@ def _as_matrix(points, name: str) -> np.ndarray:
     return mat
 
 
+@cache
 def r_weight_set(n_objectives: int) -> tuple[WeightVector, ...]:
-    """The fixed uniform weight set evaluating the R measure."""
+    """The fixed uniform weight set evaluating the R measure (built once)."""
     try:
         granularity = R_WEIGHT_GRANULARITY[n_objectives]
     except KeyError:
         raise ValueError(
             f"R weight set defined for 2 or 3 objectives, got {n_objectives}"
         ) from None
-    return generate_uniform_weights(n_objectives, granularity)
+    return tuple(generate_uniform_weights(n_objectives, granularity))
 
 
 def r_measure(
@@ -77,11 +90,13 @@ def r_measure(
     ref = np.asarray(tuple(reference), dtype=float)
     if lam.ndim != 2 or lam.shape[1] != mat.shape[1] or ref.shape != (mat.shape[1],):
         raise ValueError("points, weights and reference disagree on objective count")
-    diff = mat - ref
+    cols = np.ascontiguousarray((mat - ref).T)
     total = 0.0
     for start in range(0, lam.shape[0], _CHUNK):
         chunk = lam[start : start + _CHUNK]
-        values = (chunk[:, None, :] * diff[None, :, :]).max(axis=2)
+        values = chunk[:, 0, None] * cols[0]
+        for j in range(1, cols.shape[0]):
+            np.maximum(values, chunk[:, j, None] * cols[j], out=values)
         total += float(values.min(axis=1).sum())
     return total / lam.shape[0]
 
@@ -89,20 +104,13 @@ def r_measure(
 def _staircase_area(pts: np.ndarray, ref: np.ndarray) -> float:
     """Exact dominated area for 2-D minimization points against `ref`."""
     order = np.lexsort((pts[:, 1], pts[:, 0]))
-    kept_x: list[float] = []
-    kept_y: list[float] = []
-    best_y = np.inf
-    for i in order:
-        x, y = pts[i]
-        if y < best_y:
-            kept_x.append(float(x))
-            kept_y.append(float(y))
-            best_y = y
-    area = 0.0
-    for i, (x, y) in enumerate(zip(kept_x, kept_y)):
-        next_x = kept_x[i + 1] if i + 1 < len(kept_x) else float(ref[0])
-        area += (next_x - x) * (float(ref[1]) - y)
-    return area
+    x, y = pts[order, 0], pts[order, 1]
+    # a point counts when its y is strictly below every earlier y
+    earlier_min = np.concatenate(([np.inf], np.minimum.accumulate(y)[:-1]))
+    kept = y < earlier_min
+    x, y = x[kept], y[kept]
+    next_x = np.append(x[1:], ref[0])
+    return float(np.cumsum((next_x - x) * (ref[1] - y))[-1])
 
 
 def hypervolume(points, reference: ObjectivePoint) -> float:

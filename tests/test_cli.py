@@ -59,6 +59,21 @@ def test_run_archive_and_meta(tsp_files, tmp_path, capsys):
     assert meta["iterations"] == 12
     assert meta["archive_size"] == len(points)
     assert meta["seed"] == 7
+    assert meta["scalarizer"] is None  # the adapter's default
+    # the meta file records the resolved mix weights, so runs that differ
+    # only in --w-linear can be told apart
+    shares = {}
+    for extra in ((), ("--w-linear", "0.3")):
+        mixed = tmp_path / f"mixed{len(extra)}.csv"
+        assert run_cli(
+            "run", "--problem", "mstsp", "--method", "mogls",
+            "--instance", *tsp_files,
+            "--generations", "1", "--weights", "6", "--seed", "7",
+            "--scalarizer", "mixed", *extra, "--out", str(mixed),
+        ) == 0
+        shares[extra] = json.loads(Path(f"{mixed}.meta.json").read_text())["scalarizer"]
+    assert shares[()] == {"kind": "mixed", "w_linear": 0.5, "w_cheby": 0.5}
+    assert shares[("--w-linear", "0.3")] == {"kind": "mixed", "w_linear": 0.3, "w_cheby": 1.0 - 0.3}
 
 
 def test_run_same_seed_byte_identical(tsp_files, tmp_path):

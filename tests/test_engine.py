@@ -161,6 +161,29 @@ def test_moead_state_neighbors():
         MoeadState.build(vs, 6)
 
 
+def frozen_neighbors(weights, neighborhood_size):
+    """`MoeadState.build` neighbors with distances from one broadcast sum."""
+    k = len(weights)
+    mat = np.array([w.lambdas for w in weights])
+    neigh = np.empty((k, neighborhood_size), dtype=np.int64)
+    chunk = max(1, 2_000_000 // max(k, 1))
+    for start in range(0, k, chunk):
+        block = mat[start : start + chunk]
+        d2 = ((block[:, None, :] - mat[None, :, :]) ** 2).sum(axis=2)
+        for r in range(block.shape[0]):
+            order = np.lexsort((np.arange(k), d2[r]))
+            neigh[start + r] = order[:neighborhood_size]
+    return neigh
+
+
+@pytest.mark.parametrize("objectives,granularity", [(2, 300), (3, 20), (3, 81)])
+def test_moead_state_neighbors_match_frozen_build(objectives, granularity):
+    # K = 301, 231 and 3403: lattice weights have many exact distance ties
+    weights = generate_uniform_weights(objectives, granularity)
+    state = MoeadState.build(weights, 20)
+    assert np.array_equal(state.neighbors, frozen_neighbors(weights, 20))
+
+
 def _seeded_state(n=5, neigh=3):
     vs = generate_uniform_weights(2, n - 1)
     state = MoeadState.build(vs, neigh)

@@ -54,6 +54,118 @@ def oracle_wilcoxon(diffs):
     return observed, min(1.0, 2 * min(p_low, p_high))
 
 
+def frozen_r_measure(points, weights, reference):
+    """R with the chebycheff max taken by one broadcast over all objectives."""
+    diff = np.asarray(points, dtype=float) - np.asarray(reference, dtype=float)
+    lam = np.asarray(weights, dtype=float)
+    total = 0.0
+    for start in range(0, lam.shape[0], 256):
+        chunk = lam[start : start + 256]
+        values = (chunk[:, None, :] * diff[None, :, :]).max(axis=2)
+        total += float(values.min(axis=1).sum())
+    return total / lam.shape[0]
+
+
+def frozen_staircase(pts, ref):
+    """The kept staircase points and their area terms, from a plain loop."""
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    kept = []
+    best_y = np.inf
+    for i in order:
+        x, y = pts[i]
+        if y < best_y:
+            kept.append((float(x), float(y)))
+            best_y = y
+    terms = []
+    for i, (x, y) in enumerate(kept):
+        next_x = kept[i + 1][0] if i + 1 < len(kept) else float(ref[0])
+        terms.append((next_x - x) * (float(ref[1]) - y))
+    return terms
+
+
+def frozen_area(pts, ref):
+    area = 0.0
+    for term in frozen_staircase(pts, ref):
+        area += term
+    return area
+
+
+def frozen_hypervolume(points, ref):
+    mat = np.asarray(points, dtype=float)
+    if mat.shape[1] == 2:
+        return frozen_area(mat, ref)
+    levels = np.unique(mat[:, 2])
+    volume = 0.0
+    for t, level in enumerate(levels):
+        upper = levels[t + 1] if t + 1 < levels.size else float(ref[2])
+        layer = mat[mat[:, 2] <= level, :2]
+        volume += frozen_area(layer, ref[:2]) * (float(upper) - float(level))
+    return float(volume)
+
+
+def exactness_cases(n_objectives):
+    """Seeded point sets with exact ties in each coordinate, duplicates, a
+    single point, one-point layers (distinct third objectives) and values
+    whose float sums depend on their order."""
+    rng = np.random.default_rng(20 + n_objectives)
+    cases = [rng.uniform(0.0, 1.0, size=(1, n_objectives))]
+    for size in (2, 9, 40, 150):
+        cases.append(rng.uniform(-3e3, 7e5, size=(size, n_objectives)))
+    for size in (12, 60):
+        cases.append(rng.integers(0, 6, size=(size, n_objectives)).astype(float))
+    for d in range(n_objectives):
+        # few distinct values in coordinate d, arbitrary floats elsewhere
+        pts = rng.uniform(1.0, 9.0, size=(50, n_objectives)) * 1.37e4
+        pts[:, d] = rng.choice(rng.uniform(1.0, 9.0, size=4) * 1.37e4, size=50)
+        cases.append(pts)
+    base = rng.uniform(0.0, 1e3, size=(25, n_objectives))
+    cases.append(np.vstack([base, base[::3], base[:1]]))  # duplicate points
+    if n_objectives == 2:
+        # a front of 60 mutually nondominated points
+        x = np.sort(rng.uniform(0.0, 1e4, size=60))
+        cases.append(np.column_stack([x, np.sort(rng.uniform(0.0, 1e4, size=60))[::-1]]))
+    else:
+        # distinct third objectives: the first layers hold one point each
+        cases.append(rng.uniform(0.0, 1e4, size=(30, 3)))
+    return cases
+
+
+@pytest.mark.parametrize("n_objectives", [2, 3])
+def test_r_measure_bit_equal_to_frozen_oracle(n_objectives):
+    rng = np.random.default_rng(30 + n_objectives)
+    lattice = np.asarray([tuple(w) for w in r_weight_set(n_objectives)])  # > 256 rows
+    drawn = rng.dirichlet(np.ones(n_objectives), size=600)  # arbitrary float weights
+    for pts in exactness_cases(n_objectives):
+        for ref in (pts.min(axis=0), pts.min(axis=0) - rng.uniform(0.0, 50.0, n_objectives)):
+            for weights in (lattice, drawn, drawn[:7]):
+                assert r_measure(pts, weights, tuple(ref)) == frozen_r_measure(pts, weights, ref)
+
+
+@pytest.mark.parametrize("n_objectives", [2, 3])
+def test_hypervolume_bit_equal_to_frozen_oracle(n_objectives):
+    rng = np.random.default_rng(40 + n_objectives)
+    for pts in exactness_cases(n_objectives):
+        for pad in (1.0, rng.uniform(0.1, 5e3)):
+            ref = pts.max(axis=0) + pad
+            assert hypervolume(pts, tuple(ref)) == frozen_hypervolume(pts, ref)
+
+
+def test_staircase_keeps_sequential_summation_order():
+    # the area is summed left to right; numpy's pairwise sum of the same
+    # terms changes the last bits on these inputs, so the order is pinned
+    rng = np.random.default_rng(43)
+    reordered = 0
+    for _ in range(20):
+        size = int(rng.integers(9, 80))  # numpy sums 8 or more terms pairwise
+        x = np.sort(rng.uniform(0.0, 1e4, size=size))
+        pts = np.column_stack([x, np.sort(rng.uniform(0.0, 1e4, size=size))[::-1]])
+        ref = pts.max(axis=0) + rng.uniform(0.1, 10.0)
+        terms = frozen_staircase(pts, ref)
+        assert hypervolume(pts, tuple(ref)) == frozen_area(pts, ref)
+        reordered += float(np.sum(terms)) != frozen_area(pts, ref)
+    assert reordered >= 10  # the inputs do tell the two orders apart
+
+
 def test_r_weight_set_counts():
     two = r_weight_set(2)
     three = r_weight_set(3)
@@ -61,6 +173,7 @@ def test_r_weight_set_counts():
     assert len(three) == 7626
     for w in (two[0], two[-1], three[0], three[-1]):
         assert sum(tuple(w)) == pytest.approx(1.0)
+    assert isinstance(three, tuple) and r_weight_set(3) is three  # built once
     with pytest.raises(ValueError):
         r_weight_set(4)
 
