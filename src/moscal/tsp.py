@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import chain
 from typing import Sequence
 
 import numpy as np
@@ -83,47 +84,70 @@ def random_tour(instance: TspInstance, rng: np.random.Generator) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CandidateLists:
-    """Per-city candidate neighbors; symmetric when built from tours.
+    """Per-city candidate neighbours: c in members[a] lets 2-opt add <a,c>.
 
-    2-opt reads the lists as a directed boolean matrix (`mask`): `matrix()`
-    builds it on first use and the lists keep it, so a run that shares one
-    `CandidateLists` across its local searches builds it once.
+    Lists built from tours are symmetric; hand-made lists may be directed and
+    are read as given.  Every id must be a city 0..n-1, n = len(members);
+    others are rejected here.
+
+    `two_opt_local_search` with lists scores only the moves built from their
+    directed pairs (`pairs`, built once per lists object, so a run that
+    shares one `CandidateLists` across its local searches builds them once),
+    and follows bit for bit the trajectory of the full scan masked by the
+    lists.
     """
 
     members: tuple[frozenset[int], ...]
 
-    def matrix(self) -> np.ndarray:
+    def __post_init__(self) -> None:
         n = len(self.members)
-        m = np.zeros((n, n), dtype=bool)
         for a, cands in enumerate(self.members):
-            for b in cands:
-                m[a, b] = True
+            for c in cands:
+                if not 0 <= c < n:
+                    raise ValueError(f"candidate list of city {a} holds id {c}, outside the cities 0..{n - 1}")
+
+    def matrix(self) -> np.ndarray:
+        """Directed boolean matrix: [a, c] is True when c is in cand(a)."""
+        n = len(self.members)
+        rows = np.repeat(np.arange(n), [len(cands) for cands in self.members])
+        cols = np.fromiter(chain.from_iterable(self.members), dtype=np.int64, count=rows.size)
+        m = np.zeros((n, n), dtype=bool)
+        m[rows, cols] = True
         return m
 
     @cached_property
-    def mask(self) -> np.ndarray:
-        """`matrix()`, built once and read-only."""
-        m = self.matrix()
-        m.setflags(write=False)
-        return m
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The P directed pairs (a, c), c in cand(a), in row-major order.
+
+        Two read-only arrays of 2P entries, one per side of the pair: its P
+        cities, then the same cities plus n.  The move list indexes per-city
+        arrays of length 2n with them; the first half gives the moves that
+        add <a,c> as their first new edge, the second those that add it as
+        their second.
+        """
+        n = len(self.members)
+        a, c = np.nonzero(self.matrix())
+        out = (np.concatenate((a, a + n)), np.concatenate((c, c + n)))
+        for arr in out:
+            arr.setflags(write=False)
+        return out
 
 
 def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
-    """Union of tour adjacencies over the given tours."""
+    """Union of tour adjacencies over the given tours: c is in cand(a) when
+    some tour visits a and c one after the other."""
     if not len(tours):
         raise ValueError("need at least one tour to build candidate lists")
-    first = np.asarray(tours[0])
-    n = len(first)
-    sets: list[set[int]] = [set() for _ in range(n)]
-    for tour in tours:
-        t = np.asarray(tour, dtype=np.int64)
-        if len(t) != n:
-            raise ValueError("tours disagree on city count")
-        nxt = np.roll(t, -1)
-        for a, b in zip(t, nxt):
-            sets[int(a)].add(int(b))
-            sets[int(b)].add(int(a))
-    return CandidateLists(tuple(frozenset(s) for s in sets))
+    n = len(tours[0])
+    if any(len(tour) != n for tour in tours):
+        raise ValueError("tours disagree on city count")
+    stacked = np.asarray(tours, dtype=np.int64)
+    if ((stacked < 0) | (stacked >= n)).any():
+        raise ValueError(f"tours hold a city outside 0..{n - 1}")
+    nxt = np.roll(stacked, -1, axis=1)
+    mask = np.zeros((n, n), dtype=bool)
+    mask[np.concatenate((stacked, nxt)), np.concatenate((nxt, stacked))] = True
+    return CandidateLists(tuple(frozenset(np.flatnonzero(row).tolist()) for row in mask))
 
 
 @lru_cache(maxsize=128)
@@ -152,6 +176,116 @@ def _exchange_deltas(p: np.ndarray) -> np.ndarray:
     return d
 
 
+class _Moves:
+    """2-opt moves scored per step under one scalarizer.
+
+    A plain linear scalarizer scores the weighted cost sum: the move's float
+    delta plus the current value.  Any other scores the point plus the
+    move's integer deltas, one column per objective, with
+    `Scalarizer.value_columns`, which equals `Scalarizer.value` of the
+    stacked (..., J) array bit for bit.
+    """
+
+    def __init__(self, instance: TspInstance, scalarizer: Scalarizer):
+        self.n = instance.n
+        self.scalarizer = scalarizer
+        self.plain = scalarizer.is_plain_linear
+        if self.plain:
+            self.costs = [sum(float(l) * c for l, c in zip(scalarizer.weights, instance.costs))]
+        else:
+            self.costs = list(instance.costs)
+
+    def _scalarize(self, deltas: list[np.ndarray], point: np.ndarray, value: float) -> np.ndarray:
+        if self.plain:
+            vals = deltas[0]
+            vals += value
+            return vals
+        for p, d in zip(point, deltas):
+            d += p
+        return self.scalarizer.value_columns(*deltas)
+
+
+class _DenseMoves(_Moves):
+    """Every position pair (i, k): the search without candidate lists.
+
+    A step gathers each matrix once, permuted into tour order, and reads
+    every exchange's delta from it.
+    """
+
+    def __init__(self, instance: TspInstance, scalarizer: Scalarizer):
+        super().__init__(instance, scalarizer)
+        self.invalid = _invalid_pairs(self.n)
+
+    def best(self, te: np.ndarray, point: np.ndarray, value: float) -> tuple[int, float]:
+        """The best move's flat index i*n + k and its value."""
+        vals = self._scalarize([_exchange_deltas(c[te][:, te]) for c in self.costs], point, value)
+        vals[self.invalid] = np.inf
+        flat = int(np.argmin(vals))
+        return flat, vals.flat[flat]
+
+
+class _MoveList(_Moves):
+    """The moves that candidate lists allow.
+
+    Each directed pair (a, c) gives two moves: (i, k) = (pos a, pos c),
+    which adds <a,c> as its first new edge, and ((pos a - 1) mod n,
+    (pos c - 1) mod n), which adds it as its second, <b,d>.  A move's delta
+    takes the dense kernel's operations in its order: ((m[a,c] + m[b,d]) -
+    m[a,b]) - m[c,d].
+    """
+
+    def __init__(self, instance: TspInstance, scalarizer: Scalarizer, candidates: CandidateLists):
+        super().__init__(instance, scalarizer)
+        n = self.n
+        self.pa, self.pc = candidates.pairs
+        half = self.pa.size // 2
+        own = self.pa[:half] * n + self.pc[:half]  # flat index of the pair's edge <a,c>
+        self.flat_costs = [c.ravel() for c in self.costs]
+        self.fixed = [np.tile(c[own], 2) for c in self.flat_costs]
+        self.invalid = _invalid_pairs(n).ravel()
+        self.positions = np.arange(n)
+        self.before = np.roll(self.positions, 1)  # (pos - 1) mod n
+        self.pos2 = np.empty(2 * n, dtype=np.int64)  # pos of each city, then pos - 1
+        self.nb2 = np.empty(2 * n, dtype=np.int64)  # successor of each city, then predecessor
+
+    def values(self, te: np.ndarray, point: np.ndarray, value: float) -> tuple[np.ndarray, np.ndarray]:
+        """(flat, vals): each move's i*n + k and its value, inf where
+        `_invalid_pairs` marks it."""
+        n, pa, pc, pos2, nb2 = self.n, self.pa, self.pc, self.pos2, self.nb2
+        t, succ = te[:-1], te[1:]
+        pos2[t] = self.positions
+        pos2[t + n] = self.before
+        nb2[t] = succ
+        nb2[succ + n] = t
+        i, k = pos2[pa], pos2[pc]
+        flat = i * n
+        flat += k
+        new = nb2[pa] * n
+        new += nb2[pc]  # flat index of the move's other new edge
+        out = t * n
+        out += succ  # flat index of the edge leaving each position
+        deltas = []
+        for c, fixed in zip(self.flat_costs, self.fixed):
+            removed = c[out]
+            d = c[new]
+            d += fixed
+            d -= removed[i]
+            d -= removed[k]
+            deltas.append(d)
+        vals = self._scalarize(deltas, point, value)
+        vals[self.invalid[flat]] = np.inf
+        return flat, vals
+
+    def best(self, te: np.ndarray, point: np.ndarray, value: float) -> tuple[int, float]:
+        """As `_DenseMoves.best`: ties go to the lowest i*n + k.  An empty
+        move list is a local optimum."""
+        if not self.pa.size:
+            return 0, np.inf
+        flat, vals = self.values(te, point, value)
+        best = vals.min()
+        return int(flat[vals == best].min()), best
+
+
 def two_opt_local_search(
     instance: TspInstance,
     tour: Sequence[int],
@@ -161,16 +295,20 @@ def two_opt_local_search(
 ) -> np.ndarray:
     """Steepest-descent 2-opt under a fixed scalarizing function.
 
-    Each step scans all nonadjacent edge pairs (restricted to moves whose
-    first new edge <a,c> has c in cand(a) or whose second <b,d> has d in
-    cand(b), when candidate lists are given), applies the best strictly
-    improving exchange, and stops at a local optimum.
+    Each step scores the nonadjacent edge pairs, applies the best strictly
+    improving exchange, and stops at a local optimum.  With candidate lists
+    only the moves whose first new edge <a,c> has c in cand(a), or whose
+    second <b,d> has d in cand(b), are allowed.
 
-    A step gathers each weight matrix once, permuted into tour order, and
-    reads every exchange's delta from it; the candidate mask comes from
-    `CandidateLists.mask`, built once per lists object, and is permuted the
-    same way.  Among equal best moves the lowest position pair (i, k) in
-    row-major order wins.
+    Without lists (the engine's initial phase) a step scores all n² position
+    pairs.  With lists it scores only the moves built from the lists'
+    directed pairs, about 2 per pair; lists with no pairs make every tour a
+    local optimum.  Both paths give every move the same float value, from
+    the same elementwise operations in the same order, and pick the same
+    move: the minimum, ties to the lowest position pair (i, k) in row-major
+    order.  So a search with lists follows, bit for bit, the trajectory of
+    the dense scan masked by the lists.  The exact integer objective point
+    is updated by the chosen move's integer deltas.
     """
     t = _check_tour(instance, tour)
     n = instance.n
@@ -179,43 +317,20 @@ def two_opt_local_search(
     t = te[:n]
     if candidates is not None and len(candidates.members) != n:
         raise ValueError(f"candidate lists cover {len(candidates.members)} cities, the instance has {n}")
-    invalid = _invalid_pairs(n)
-    cand = candidates.mask if candidates is not None else None
     point = np.array([c[t, te[1:]].sum() for c in instance.costs], dtype=np.int64)
     value = scalarizer(point)
     if value_trace is not None:
         value_trace.append(value)
-    plain = scalarizer.is_plain_linear
-    w = None
-    if plain:
-        w = sum(float(l) * c for l, c in zip(scalarizer.weights, instance.costs))
+    moves = _DenseMoves(instance, scalarizer) if candidates is None else _MoveList(instance, scalarizer, candidates)
     while True:
-        if plain:
-            cand_vals = _exchange_deltas(w[te][:, te])
-            cand_vals += value
-        else:
-            deltas = np.empty((n, n, len(instance.costs)), dtype=np.int64)
-            for j, c in enumerate(instance.costs):
-                deltas[:, :, j] = _exchange_deltas(c[te][:, te])
-            cand_vals = scalarizer.value(point[None, None, :] + deltas)
-        if cand is None:
-            cand_vals[invalid] = np.inf
-        else:
-            ok = cand[te][:, te]
-            excluded = ~(ok[:-1, :-1] | ok[1:, 1:])
-            excluded |= invalid
-            cand_vals[excluded] = np.inf
-        flat = int(np.argmin(cand_vals))
-        i, k = divmod(flat, n)
-        best = cand_vals[i, k]
+        flat, best = moves.best(te, point, value)
         if not best < value - IMPROVEMENT_EPS:
             break
+        i, k = divmod(flat, n)
+        a, b, c, d = te[i], te[i + 1], te[k], te[k + 1]
+        delta = np.array([m[a, c] + m[b, d] - m[a, b] - m[c, d] for m in instance.costs], dtype=np.int64)
         t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]  # t[0] never moves, so te[n] stays equal to it
-        if plain:
-            # resync the exact integer objective point after the reversal
-            point = np.array([c[t, te[1:]].sum() for c in instance.costs], dtype=np.int64)
-        else:
-            point = point + deltas[i, k]
+        point = point + delta
         value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)

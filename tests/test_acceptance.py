@@ -3,7 +3,8 @@
 Each test covers one numbered acceptance criterion and prints a single
 verdict line; run with ``pytest tests/test_acceptance.py -s`` to see them.
 The slow experiment-level checks (criteria 7 and 8) run small but real
-multi-method studies and take a few minutes each.
+multi-method studies and take a few minutes each; they and criterion 3 carry
+the `slow` marker, so `-m "not slow"` leaves them out of a quick run.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from moscal.archive import ParetoArchive, read_points_csv
 from moscal.cli import main as cli_main
@@ -231,6 +233,7 @@ def _mc_hypervolume(points: np.ndarray, reference, n_samples: int, seed: int) ->
     return box * hits / n_samples
 
 
+@pytest.mark.slow
 def test_criterion_3_hypervolume_monte_carlo():
     start = time.time()
     problems: list[str] = []
@@ -550,6 +553,7 @@ def test_criterion_6_local_search_contracts():
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_ordering(tmp_path):
     start = time.time()
     problems: list[str] = []
@@ -606,6 +610,7 @@ def test_criterion_7_desk_scale_ordering(tmp_path):
 # --------------------------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_8_weight_count_sensitivity(tmp_path):
     start = time.time()
     problems: list[str] = []

@@ -9,7 +9,9 @@ from moscal.tsp import (
     CandidateLists,
     TspAdapter,
     TspInstance,
+    _MoveList,
     _exchange_deltas,
+    _invalid_pairs,
     build_candidate_lists,
     dpx_recombine,
     random_tour,
@@ -99,6 +101,8 @@ def test_candidate_lists_union_of_adjacencies():
     assert (m == m.T).all()
     with pytest.raises(ValueError):
         build_candidate_lists([])
+    with pytest.raises(ValueError, match="outside 0..3"):
+        build_candidate_lists([[0, 1, 2, 4]])
 
 
 def two_opt_has_improving_move(inst, tour, s, cand=None, eps=1e-9):
@@ -166,6 +170,17 @@ def test_two_opt_respects_candidate_lists():
         wrong = CandidateLists((frozenset({1}),) * count)
         with pytest.raises(ValueError, match="candidate lists"):
             two_opt_local_search(inst, random_tour(inst, rng), LIN, candidates=wrong)
+    # ids that are no city are rejected when the lists are made, not read
+    # as another city (-1) or out of bounds (n)
+    for bad in (-1, 12):
+        members = [frozenset({(a + 1) % 12}) for a in range(12)]
+        members[5] = frozenset({3, bad})
+        with pytest.raises(ValueError, match=f"city 5 holds id {bad},"):
+            CandidateLists(tuple(members))
+    # lists without pairs allow no move: every tour is a local optimum
+    start = random_tour(inst, rng)
+    out = two_opt_local_search(inst, start, LIN, candidates=CandidateLists((frozenset(),) * 12))
+    assert out.tolist() == start.tolist()
 
 
 def test_two_opt_nonlinear_scalarizer_monotone():
@@ -269,10 +284,23 @@ def small_int_instance(n, n_obj, rng, high=10):
     return TspInstance(tuple(mats))
 
 
+def assert_follows_frozen_oracle(inst, start, s, lists, case):
+    expected_trace, trace = [], []
+    expected = frozen_two_opt(inst, start, s, lists, expected_trace)
+    out = two_opt_local_search(inst, start, s, candidates=lists, value_trace=trace)
+    assert out.tolist() == expected.tolist(), case
+    assert trace == expected_trace, case
+
+
 def test_two_opt_matches_frozen_dense_oracle():
     rng = np.random.default_rng(2002)
     kinds = ("linear", "chebycheff", "mixed")
     list_kinds = ("none", "tours", "asymmetric")
+
+    def scalarizer(kind, n_obj):
+        ref = tuple(float(v) for v in rng.uniform(0, 50, size=n_obj)) if kind != "linear" else None
+        return Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind), ref)
+
     for case in range(216):
         n = int(rng.integers(5, 61))
         n_obj = int(rng.integers(2, 4))
@@ -280,9 +308,7 @@ def test_two_opt_matches_frozen_dense_oracle():
             inst = small_int_instance(n, n_obj, rng)
         else:
             inst = random_instance(n, n_obj, rng)
-        kind = kinds[case % 3]
-        ref = tuple(float(v) for v in rng.uniform(0, 50, size=n_obj)) if kind != "linear" else None
-        s = Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind), ref)
+        s = scalarizer(kinds[case % 3], n_obj)
         lists = None
         list_kind = list_kinds[(case // 3) % 3]
         if list_kind == "tours":
@@ -292,19 +318,30 @@ def test_two_opt_matches_frozen_dense_oracle():
             np.fill_diagonal(directed, False)
             assert (directed != directed.T).any()
             lists = CandidateLists(tuple(frozenset(np.flatnonzero(row).tolist()) for row in directed))
-        start = random_tour(inst, rng)
-        expected_trace, trace = [], []
-        expected = frozen_two_opt(inst, start, s, lists, expected_trace)
-        out = two_opt_local_search(inst, start, s, candidates=lists, value_trace=trace)
-        assert out.tolist() == expected.tolist(), case
-        assert trace == expected_trace, case
+        assert_follows_frozen_oracle(inst, random_tour(inst, rng), s, lists, case)
+    # the engine's lists: adjacencies of 2-opt local optima, searched from
+    # DPX offspring of two optima, on tie-heavy costs at up to 100 cities
+    for case in range(24):
+        n = int(rng.integers(30, 101))
+        n_obj = int(rng.integers(2, 4))
+        inst = small_int_instance(n, n_obj, rng)
+        optima = [
+            two_opt_local_search(inst, random_tour(inst, rng), scalarizer("linear", n_obj))
+            for _ in range(int(rng.integers(2, 6)))
+        ]
+        lists = build_candidate_lists(optima)
+        s = scalarizer(kinds[case % 3], n_obj)
+        for start in (random_tour(inst, rng), dpx_recombine(optima[0], optima[1], rng)):
+            assert_follows_frozen_oracle(inst, start, s, lists, ("optima", case))
 
 
 def test_exchange_deltas_keep_summation_order():
     # ((p[i,k] + p[i+1,k+1]) - removed_i) - removed_k, bit for bit: with
-    # float-weighted costs of about 1e7, another order changes the last bit
+    # float-weighted costs of about 1e7, another order changes the last bit.
+    # The move list scores its moves with the same bits as the dense kernel.
     rng = np.random.default_rng(41)
-    reordered = 0
+    s = Scalarizer((0.3713, 0.6287), ScalarizerSpec("linear"))
+    reordered = listed_reordered = 0
     for _ in range(20):
         n = int(rng.integers(5, 40))
         inst = random_instance(n, 2, rng, scale=10**7)
@@ -317,7 +354,43 @@ def test_exchange_deltas_keep_summation_order():
         assert _exchange_deltas(p).tobytes() == expected.tobytes()
         swapped = ((p[:-1, :-1] + p[1:, 1:]) - removed[None, :]) - removed[:, None]
         reordered += swapped.tobytes() != expected.tobytes()
+
+        moves = _MoveList(inst, s, build_candidate_lists([random_tour(inst, rng) for _ in range(3)]))
+        point = np.array([c[t, te[1:]].sum() for c in inst.costs])
+        flat, deltas = moves.values(te, point, 0.0)
+        valid = ~_invalid_pairs(n).ravel()[flat]
+        assert np.isinf(deltas[~valid]).all()
+        assert deltas[valid].tobytes() == expected.ravel()[flat[valid]].tobytes()
+        listed_reordered += swapped.ravel()[flat[valid]].tobytes() != deltas[valid].tobytes()
+        value = s(point)
+        flat, vals = moves.values(te, point, value)
+        assert vals[valid].tobytes() == (expected.ravel()[flat[valid]] + value).tobytes()
     assert reordered >= 15  # the inputs do tell the two orders apart
+    assert listed_reordered >= 10  # also on the moves the lists allow
+
+
+def test_move_list_scalarizes_like_the_dense_path():
+    # chebycheff and mixed moves are scalarized from one column per
+    # objective; each value equals the entry `Scalarizer.value` gives its
+    # move on the dense (n, n, J) array, bit for bit
+    rng = np.random.default_rng(43)
+    for case in range(300):
+        n = int(rng.integers(5, 121))
+        n_obj = int(rng.integers(2, 4))
+        inst = random_instance(n, n_obj, rng, scale=int(rng.choice([10, 10**4, 10**7])))
+        kind = ("chebycheff", "mixed")[case % 2]
+        spec = ScalarizerSpec(kind, w_linear=float(rng.uniform(0.05, 0.95))) if kind == "mixed" else ScalarizerSpec(kind)
+        t = random_tour(inst, rng)
+        te = np.append(t, t[0])
+        point = np.array([c[t, te[1:]].sum() for c in inst.costs])
+        ref = tuple(float(v) for v in point * rng.uniform(0.5, 1.0, size=n_obj))
+        s = Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), spec, ref)
+        deltas = np.stack([_exchange_deltas(c[te][:, te]) for c in inst.costs], axis=-1)
+        dense = s.value(point + deltas).ravel()
+        lists = build_candidate_lists([random_tour(inst, rng) for _ in range(int(rng.integers(1, 5)))])
+        flat, vals = _MoveList(inst, s, lists).values(te, point, s(point))
+        valid = ~_invalid_pairs(n).ravel()[flat]
+        assert vals[valid].tobytes() == dense[flat[valid]].tobytes(), case
 
 
 def test_dpx_identical_parents_returns_copy():
