@@ -21,8 +21,6 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
-import numpy as np
-
 from .archive import read_points_csv, write_points_csv
 from .engine import METHODS, MethodConfig, run_method
 from .experiment import (
@@ -36,7 +34,7 @@ from .experiment import (
 )
 from .indicators import hypervolume, r_measure, r_weight_set, union_reference_points
 from .instances import generate_instance
-from .scalarizing import ScalarizerSpec, generate_uniform_weights, granularity_for_count
+from .scalarizing import ScalarizerSpec
 
 __all__ = ["main", "build_parser"]
 
@@ -78,10 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--weights", type=int, help="weight count K")
     run.add_argument("--expected-rank", type=float, help="tournament expected rank Er")
     run.add_argument("--er-preset", choices=sorted(EXPECTED_RANK_PRESETS), help="named Er override")
-    run.add_argument("--neigh", type=int, default=20, help="neighborhood size N")
-    run.add_argument("--delta", type=float, default=0.9, help="neighborhood mating probability")
-    run.add_argument("--nr", type=int, default=2, help="max incumbent replacements per offspring")
-    run.add_argument("--seed", type=int, default=0)
+    run.add_argument("--neigh", type=int, help="neighborhood size N")
+    run.add_argument("--delta", type=float, help="neighborhood mating probability")
+    run.add_argument("--nr", type=int, help="max incumbent replacements per offspring")
+    run.add_argument("--seed", type=int)
     run.add_argument("--main-iterations", type=int, help="override the G*K main-phase length")
     run.add_argument("--scalarizer", choices=["linear", "chebycheff", "mixed"])
     run.add_argument("--w-linear", type=float, help="linear share of the mixed scalarizer")
@@ -142,10 +140,8 @@ def _run(args) -> int:
         generations, weight_count = args.generations, args.weights
     if args.expected_rank is not None and args.er_preset is not None:
         raise ValueError("give either --expected-rank or --er-preset")
-    expected_rank = 10.0
-    if args.expected_rank is not None:
-        expected_rank = args.expected_rank
-    elif args.er_preset is not None:
+    expected_rank = args.expected_rank
+    if args.er_preset is not None:
         expected_rank = EXPECTED_RANK_PRESETS[args.er_preset]
     scalarizer = None
     if args.scalarizer is not None:
@@ -157,37 +153,33 @@ def _run(args) -> int:
 
     problem = PROBLEMS[args.problem]
     adapter = problem.adapter(problem.load(args.instance))
+    # flags not given keep the MethodConfig defaults
+    given = {
+        "expected_rank": expected_rank,
+        "neighborhood_size": args.neigh,
+        "mating_probability": args.delta,
+        "max_replacements": args.nr,
+        "seed": args.seed,
+        "main_iterations": args.main_iterations,
+    }
     config = MethodConfig(
         method=args.method,
         objectives=adapter.n_objectives,
         generations=generations,
         weight_count=weight_count,
         scalarizer=scalarizer,
-        expected_rank=expected_rank,
-        neighborhood_size=args.neigh,
-        mating_probability=args.delta,
-        max_replacements=args.nr,
-        seed=args.seed,
-        main_iterations=args.main_iterations,
+        **{name: value for name, value in given.items() if value is not None},
     )
     result = run_method(config, adapter)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     write_points_csv(result.archive, out)
+    # the config as run; its scalarizer holds the resolved mix weights, or
+    # null for the adapter's default
     meta = {
+        **asdict(config),
         "problem": args.problem,
-        "method": args.method,
         "instance": [str(p) for p in args.instance],
-        "seed": args.seed,
-        "generations": generations,
-        "weight_count": weight_count,
-        "expected_rank": expected_rank,
-        "neighborhood_size": args.neigh,
-        "mating_probability": args.delta,
-        "max_replacements": args.nr,
-        "main_iterations": args.main_iterations,
-        # the resolved mix weights, or null for the adapter's default scalarizer
-        "scalarizer": None if scalarizer is None else asdict(scalarizer),
         "iterations": result.iteration_count,
         "archive_size": len(result.archive),
         "wallclock_ms": int(round(1000 * result.wallclock_s)),
@@ -216,13 +208,7 @@ def _eval(args) -> int:
         if args.z_ref is not None or args.hv_ref is not None:
             raise ValueError("--z-ref/--hv-ref apply to --ref-mode explicit only")
         z_ref, hv_ref = union_reference_points(point_sets)
-    if args.r_weights is None:
-        weight_set = r_weight_set(n_objectives)
-    else:
-        weight_set = generate_uniform_weights(
-            n_objectives, granularity_for_count(n_objectives, args.r_weights)
-        )
-    weights = np.asarray([tuple(w) for w in weight_set], dtype=float)
+    weights = r_weight_set(n_objectives, args.r_weights)
     print("archive,points,R,HV")
     for path, points in zip(args.archive, point_sets):
         r = r_measure(points, weights, z_ref)

@@ -1,22 +1,26 @@
 """Shared evolutionary engine for the four scalarizing-function methods.
 
-Every method runs the same two-phase skeleton: an initial phase of K
-independent local searches from random solutions, then G*K main iterations
-that each draw a weight vector, pick parents, recombine, local-search the
-offspring and update the Pareto archive.  The methods differ only in the
-weight schedule and the parent-selection rule:
+Every method runs one loop of K + G*K iterations (K initial, then the main
+phase).  Iteration t takes a weight vector, builds a starting solution,
+local-searches it under that weight, and updates the reference point and the
+Pareto archive.  The methods differ only in two rules:
 
-    momsls   random weights, no recombination (fresh random solution each time)
-    mogls    random weights, tournament selection from the archive
-    umogls   cyclic uniform weights, tournament selection from the archive
-    moead    cyclic uniform weights, neighborhood mating + incumbent updates
+    weight rule   random: a fresh uniform draw from the simplex (momsls, mogls)
+                  uniform: lattice[t % K] (umogls, moead)
+    start rule    a random solution while t < K, and always for momsls;
+                  otherwise recombined parents: tournament from the archive
+                  (mogls, umogls) or the neighborhood of subproblem t % K
+                  (moead, which then updates the incumbents it mated from)
+
+After iteration K-1 the adapter's `end_initial_phase` sees the K initial
+local-search results.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Sequence
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
@@ -37,8 +41,6 @@ __all__ = [
     "MoeadState",
     "RunResult",
     "ProblemAdapter",
-    "RandomWeightSchedule",
-    "CyclicWeightSchedule",
     "tournament_size",
     "get_parents_tournament",
     "get_parents_neighborhood",
@@ -80,9 +82,10 @@ class ProblemAdapter:
     def end_initial_phase(self, solutions: Sequence[Any]) -> None:
         """Called once with the local-search results of the initial phase."""
 
-    def normalize_points(self, points: np.ndarray) -> np.ndarray:
-        """Map raw objective points into scalarization space (default: identity)."""
-        return points
+    def scalarizing_transform(self) -> Callable[[np.ndarray], np.ndarray] | None:
+        """Map from raw objective points into scalarization space, or None for
+        the identity; read once per run, after `begin_run`."""
+        return None
 
     def default_scalarizer(self) -> ScalarizerSpec:
         return ScalarizerSpec("linear")
@@ -146,38 +149,6 @@ class RunResult:
     archive: ParetoArchive
     iteration_count: int
     wallclock_s: float
-    config: MethodConfig
-
-
-class RandomWeightSchedule:
-    """Fresh uniform-simplex weight vector on every call."""
-
-    def __init__(self, n_objectives: int, rng: np.random.Generator):
-        self.n_objectives = n_objectives
-        self._rng = rng
-
-    def next_weight(self) -> WeightVector:
-        return draw_random_weight(self.n_objectives, self._rng)
-
-
-class CyclicWeightSchedule:
-    """Cycles through a fixed weight list; wraps around past the end."""
-
-    def __init__(self, vectors: Sequence[WeightVector]):
-        if not vectors:
-            raise ValueError("cyclic schedule needs at least one weight vector")
-        self.vectors = list(vectors)
-        self._calls = 0
-
-    @property
-    def index(self) -> int:
-        """Index of the weight returned by the most recent next_weight call."""
-        return (self._calls - 1) % len(self.vectors)
-
-    def next_weight(self) -> WeightVector:
-        w = self.vectors[self._calls % len(self.vectors)]
-        self._calls += 1
-        return w
 
 
 def tournament_size(archive_size: int, expected_rank: float) -> int:
@@ -316,65 +287,55 @@ def run_method(config: MethodConfig, problem: ProblemAdapter) -> RunResult:
     t0 = time.perf_counter()
     rngs = _streams(config.seed)
     problem.begin_run(rngs["problem"])
+    transform = problem.scalarizing_transform()
     spec = config.scalarizer if config.scalarizer is not None else problem.default_scalarizer()
-    transform = None if type(problem).normalize_points is ProblemAdapter.normalize_points else problem.normalize_points
-
+    k = config.weight_count
+    lattice = None
     if config.method in _UNIFORM_METHODS:
-        granularity = granularity_for_count(config.objectives, config.weight_count)
-        vectors = generate_uniform_weights(config.objectives, granularity)
-        schedule: RandomWeightSchedule | CyclicWeightSchedule = CyclicWeightSchedule(vectors)
-    else:
-        schedule = RandomWeightSchedule(config.objectives, rngs["weights"])
-    k_init = config.weight_count
-
-    state = MoeadState.build(schedule.vectors, config.neighborhood_size) if config.method == "moead" else None
+        lattice = generate_uniform_weights(config.objectives, granularity_for_count(config.objectives, k))
+    state = MoeadState.build(lattice, config.neighborhood_size) if config.method == "moead" else None
     archive = ParetoArchive(config.objectives)
     reference: np.ndarray | None = None
+    initial_solutions = []
 
     def image(point: ObjectivePoint) -> np.ndarray:
         arr = np.asarray(point, dtype=float)
         return transform(arr) if transform is not None else arr
 
-    initial_solutions = []
-    for k in range(k_init):
-        lam = schedule.next_weight()
-        x0 = problem.random_solution(rngs["construct"])
-        if reference is None:
-            reference = image(problem.evaluate(x0)).copy()
-        s = _bind(lam, spec, reference, transform)
-        x = problem.local_search(x0, s)
-        z = problem.evaluate(x)
-        reference = np.minimum(reference, image(z))
-        archive.update(x, z)
-        if state is not None:
-            state.incumbents[k] = (x, z)
-        initial_solutions.append(x)
-    problem.end_initial_phase(initial_solutions)
-
-    n_main = config.main_iterations if config.main_iterations is not None else config.generations * k_init
-    for _ in range(n_main):
-        lam = schedule.next_weight()
-        s = _bind(lam, spec, reference, transform)
-        scope = None
-        if config.method == "momsls":
+    n_iterations = config.total_iterations()
+    for t in range(n_iterations):
+        if lattice is not None:
+            lam = lattice[t % k]
+        else:
+            lam = draw_random_weight(config.objectives, rngs["weights"])
+        random_start = t < k or config.method == "momsls"
+        if random_start:
             x0 = problem.random_solution(rngs["construct"])
-        elif config.method == "moead":
-            pa, pb, scope = get_parents_neighborhood(
-                state, schedule.index, config.mating_probability, rngs["select"]
-            )
-            x0 = problem.recombine(pa[0], pb[0], rngs["recombine"])
-        else:  # mogls / umogls
-            if len(archive) >= 2:
-                ea, eb = get_parents_tournament(archive, s, config.expected_rank, rngs["select"])
+            if reference is None:
+                reference = image(problem.evaluate(x0)).copy()
+        s = _bind(lam, spec, reference, transform)
+        if not random_start:
+            if state is not None:
+                pa, pb, scope = get_parents_neighborhood(
+                    state, t % k, config.mating_probability, rngs["select"]
+                )
+            elif len(archive) >= 2:
+                pa, pb = get_parents_tournament(archive, s, config.expected_rank, rngs["select"])
             else:
-                ea = eb = archive.entry(0)
-            x0 = problem.recombine(ea[0], eb[0], rngs["recombine"])
+                pa = pb = archive.entry(0)
+            x0 = problem.recombine(pa[0], pb[0], rngs["recombine"])
         x = problem.local_search(x0, s)
         z = problem.evaluate(x)
         reference = np.minimum(reference, image(z))
         archive.update(x, z)
-        if state is not None:
+        if t < k:
+            initial_solutions.append(x)
+            if state is not None:
+                state.incumbents[t] = (x, z)
+            if t == k - 1:
+                problem.end_initial_phase(initial_solutions)
+        elif state is not None:
             moead_update(
                 state, (x, z), scope, spec, config.max_replacements, rngs["select"], reference, transform
             )
-    return RunResult(archive, k_init + n_main, time.perf_counter() - t0, config)
+    return RunResult(archive, n_iterations, time.perf_counter() - t0)

@@ -132,6 +132,13 @@ class RunFailure:
     error: str
 
 
+# The MethodConfig fields a plan passes unchanged to every run.
+_CONFIG_FIELDS = (
+    "generations", "weight_count", "scalarizer", "expected_rank",
+    "neighborhood_size", "mating_probability", "max_replacements", "main_iterations",
+)
+
+
 @dataclass(frozen=True)
 class ExperimentPlan:
     """One instance, several methods, identical budgets, seeded replications."""
@@ -142,12 +149,12 @@ class ExperimentPlan:
     generations: int
     weight_count: int
     methods: tuple[str, ...] = METHODS
-    scalarizer: ScalarizerSpec | None = None
-    expected_rank: float = 10.0
-    neighborhood_size: int = 20
-    mating_probability: float = 0.9
-    max_replacements: int = 2
-    main_iterations: int | None = None
+    scalarizer: ScalarizerSpec | None = MethodConfig.scalarizer
+    expected_rank: float = MethodConfig.expected_rank
+    neighborhood_size: int = MethodConfig.neighborhood_size
+    mating_probability: float = MethodConfig.mating_probability
+    max_replacements: int = MethodConfig.max_replacements
+    main_iterations: int | None = MethodConfig.main_iterations
     replications: int = 10
     seed_base: int = 0
     instance_name: str = ""
@@ -190,19 +197,8 @@ class ExperimentPlan:
         return PROBLEMS[self.problem].adapter(instance)
 
     def config_for(self, method: str, seed: int) -> MethodConfig:
-        return MethodConfig(
-            method=method,
-            objectives=self.n_objectives,
-            generations=self.generations,
-            weight_count=self.weight_count,
-            scalarizer=self.scalarizer,
-            expected_rank=self.expected_rank,
-            neighborhood_size=self.neighborhood_size,
-            mating_probability=self.mating_probability,
-            max_replacements=self.max_replacements,
-            seed=seed,
-            main_iterations=self.main_iterations,
-        )
+        shared = {name: getattr(self, name) for name in _CONFIG_FIELDS}
+        return MethodConfig(method=method, objectives=self.n_objectives, seed=seed, **shared)
 
 
 @dataclass
@@ -270,9 +266,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
     report_lines: list[str] = []
     if raw:
         z_star, hv_ref = union_reference_points([points for *_, points, _ in raw])
-        weights = np.asarray(
-            [tuple(w) for w in r_weight_set(plan.n_objectives)], dtype=float
-        )
+        weights = r_weight_set(plan.n_objectives)
         for method, seed, iterations, points, elapsed_ms in raw:
             records.append(
                 ResultRecord(
@@ -293,9 +287,10 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
             f"instance {plan.instance_name}  problem {plan.problem}  "
             f"objectives {plan.n_objectives}  replications {plan.replications}"
         )
+        total = records[0].iteration_count
         report_lines.append(
-            f"budget: {plan.weight_count} weights x (1 + {plan.generations} generations)"
-            f" = {records[0].iteration_count} iterations per run"
+            f"budget: {plan.weight_count} weights, {plan.weight_count} initial"
+            f" + {total - plan.weight_count} main = {total} iterations per run"
         )
         report_lines.append(
             f"R weight count {weights.shape[0]}; "

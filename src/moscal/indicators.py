@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .scalarizing import ObjectivePoint, WeightVector, generate_uniform_weights
+from .scalarizing import ObjectivePoint, generate_uniform_weights, granularity_for_count
 
 __all__ = [
     "R_WEIGHT_GRANULARITY",
@@ -63,28 +63,28 @@ def _as_matrix(points, name: str) -> np.ndarray:
 
 
 @cache
-def r_weight_set(n_objectives: int) -> tuple[WeightVector, ...]:
-    """The fixed uniform weight set evaluating the R measure (built once)."""
-    try:
+def r_weight_set(n_objectives: int, count: int | None = None) -> np.ndarray:
+    """The uniform weight set evaluating the R measure, as a read-only (K, J)
+    matrix built once per argument pair.
+
+    By default the lattice of `R_WEIGHT_GRANULARITY`; `count` picks another
+    simplex-lattice size.
+    """
+    if count is not None:
+        granularity = granularity_for_count(n_objectives, count)
+    elif n_objectives in R_WEIGHT_GRANULARITY:
         granularity = R_WEIGHT_GRANULARITY[n_objectives]
-    except KeyError:
-        raise ValueError(
-            f"R weight set defined for 2 or 3 objectives, got {n_objectives}"
-        ) from None
-    return tuple(generate_uniform_weights(n_objectives, granularity))
-
-
-def r_measure(
-    points,
-    weights: Sequence[WeightVector] | np.ndarray,
-    reference: ObjectivePoint,
-) -> float:
-    """Mean over `weights` of the best chebycheff value over `points`."""
-    mat = _as_matrix(points, "points")
-    if isinstance(weights, np.ndarray):
-        lam = np.asarray(weights, dtype=float)
     else:
-        lam = np.asarray([tuple(w) for w in weights], dtype=float)
+        raise ValueError(f"R weight set defined for 2 or 3 objectives, got {n_objectives}")
+    weights = np.array([w.lambdas for w in generate_uniform_weights(n_objectives, granularity)])
+    weights.flags.writeable = False
+    return weights
+
+
+def r_measure(points, weights: np.ndarray, reference: ObjectivePoint) -> float:
+    """Mean over the (K, J) `weights` rows of the best chebycheff value over `points`."""
+    mat = _as_matrix(points, "points")
+    lam = np.asarray(weights, dtype=float)
     if lam.size == 0:
         raise ValueError("weights must be nonempty")
     ref = np.asarray(tuple(reference), dtype=float)

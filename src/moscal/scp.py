@@ -238,21 +238,26 @@ def scp_recombine(
         if rng.random() < 0.5:
             selected.add(col)
     covered = _covered_rows(instance, np.asarray(sorted(selected), dtype=np.int64))
-    for row in range(instance.n_rows):
-        if covered[row]:
-            continue
-        pick = int(rng.choice(instance.row_covers(row)))
-        selected.add(pick)
-        covered |= instance.coverage[:, pick]
-    return frozenset(selected)
+    return _cover_remaining(instance, range(instance.n_rows), selected, covered, rng)
 
 
 def random_cover(instance: ScpInstance, rng: np.random.Generator) -> CoverSolution:
     """Visit rows in random order; cover each still-uncovered row with a
     uniformly random covering column."""
-    selected: set[int] = set()
     covered = np.zeros(instance.n_rows, dtype=bool)
-    for row in rng.permutation(instance.n_rows):
+    return _cover_remaining(instance, rng.permutation(instance.n_rows), set(), covered, rng)
+
+
+def _cover_remaining(
+    instance: ScpInstance,
+    rows: Iterable[int],
+    selected: set[int],
+    covered: np.ndarray,
+    rng: np.random.Generator,
+) -> CoverSolution:
+    """Visit `rows` in order and cover each one `covered` does not mark yet
+    with a uniformly random covering column; updates `selected` and `covered`."""
+    for row in rows:
         if covered[row]:
             continue
         pick = int(rng.choice(instance.row_covers(int(row))))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -335,10 +335,10 @@ class TspwpAdapter(ProblemAdapter):
     def recombine(self, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return dpx_wp_recombine(parent_a, parent_b, rng, n_cities=self.instance.n)
 
-    def normalize_points(self, points: np.ndarray) -> np.ndarray:
+    def scalarizing_transform(self) -> Callable[[np.ndarray], np.ndarray]:
         if self.ranges is None:
             raise ValueError("normalization ranges not estimated; begin_run was not called")
-        return self.ranges.normalize(points)
+        return self.ranges.normalize
 
     def default_scalarizer(self) -> ScalarizerSpec:
         return _MIXED

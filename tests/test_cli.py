@@ -56,10 +56,25 @@ def test_run_archive_and_meta(tsp_files, tmp_path, capsys):
     points = read_points_csv(out)
     assert points and len(points[0]) == 2
     meta = json.loads((tmp_path / "arch.csv.meta.json").read_text())
-    assert meta["iterations"] == 12
-    assert meta["archive_size"] == len(points)
-    assert meta["seed"] == 7
-    assert meta["scalarizer"] is None  # the adapter's default
+    assert meta.pop("wallclock_ms") >= 0
+    # flags not given take the MethodConfig defaults
+    assert meta == {
+        "problem": "mstsp",
+        "method": "mogls",
+        "instance": tsp_files,
+        "objectives": 2,
+        "seed": 7,
+        "generations": 1,
+        "weight_count": 6,
+        "expected_rank": 10.0,
+        "neighborhood_size": 20,
+        "mating_probability": 0.9,
+        "max_replacements": 2,
+        "main_iterations": None,
+        "scalarizer": None,  # the adapter's default
+        "iterations": 12,
+        "archive_size": len(points),
+    }
     # the meta file records the resolved mix weights, so runs that differ
     # only in --w-linear can be told apart
     shares = {}

@@ -3,11 +3,9 @@ import pytest
 
 from moscal.archive import ParetoArchive
 from moscal.engine import (
-    CyclicWeightSchedule,
     MethodConfig,
     MoeadState,
     ProblemAdapter,
-    RandomWeightSchedule,
     get_parents_neighborhood,
     get_parents_tournament,
     moead_update,
@@ -28,6 +26,7 @@ class RecordingProblem(ProblemAdapter):
         self.ls_inputs = []
         self.ls_outputs = []
         self.recombine_parents = []
+        self.initial_phase_calls = []
 
     def random_solution(self, rng):
         v = tuple(int(x) for x in rng.integers(0, 1000, size=2))
@@ -46,6 +45,9 @@ class RecordingProblem(ProblemAdapter):
     def recombine(self, parent_a, parent_b, rng):
         self.recombine_parents.append((parent_a, parent_b))
         return parent_a if rng.random() < 0.5 else parent_b
+
+    def end_initial_phase(self, solutions):
+        self.initial_phase_calls.append((len(self.ls_outputs), list(solutions)))
 
 
 def momsls_config(**kw):
@@ -134,19 +136,32 @@ def test_tournament_expected_ranks():
     assert 9.5 <= mean_rank <= 10.5
 
 
-def test_cyclic_schedule_wraps():
-    vs = generate_uniform_weights(2, 4)
-    sched = CyclicWeightSchedule(vs)
-    seen = [sched.next_weight() for _ in range(6)]
-    assert seen[:5] == vs
-    assert seen[5] == vs[0]
-    assert sched.index == 0
+def test_uniform_weights_cycle_the_lattice():
+    problem = RecordingProblem()
+    run_method(MethodConfig(method="umogls", objectives=2, generations=2, weight_count=5, seed=3), problem)
+    lattice = [w.lambdas for w in generate_uniform_weights(2, 4)]
+    assert problem.weights_seen == lattice * 3  # 3K iterations, wrapping after each K
 
 
-def test_random_schedule_reproducible():
-    a = RandomWeightSchedule(3, np.random.default_rng(9))
-    b = RandomWeightSchedule(3, np.random.default_rng(9))
-    assert [a.next_weight() for _ in range(10)] == [b.next_weight() for _ in range(10)]
+def test_random_weights_reproducible():
+    a, b = RecordingProblem(), RecordingProblem()
+    for problem in (a, b):
+        run_method(MethodConfig(method="mogls", objectives=2, generations=2, weight_count=5, seed=9), problem)
+    assert len(a.weights_seen) == 15 and len(set(a.weights_seen)) == 15
+    assert a.weights_seen == b.weights_seen
+
+
+@pytest.mark.parametrize("generations", [0, 2])
+@pytest.mark.parametrize("method", ["momsls", "mogls", "umogls", "moead"])
+def test_end_initial_phase_called_once_with_initial_results(method, generations):
+    problem = RecordingProblem()
+    cfg = MethodConfig(
+        method=method, objectives=2, generations=generations, weight_count=5, neighborhood_size=3, seed=4
+    )
+    run_method(cfg, problem)
+    # once, right after the K-th local search, with the K initial results
+    assert problem.initial_phase_calls == [(5, problem.ls_outputs[:5])]
+    assert len(problem.ls_outputs) == 5 + 5 * generations
 
 
 def test_moead_state_neighbors():

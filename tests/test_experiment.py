@@ -67,6 +67,20 @@ def test_method_config_weight_budgets():
         assert MethodConfig(method=method, objectives=2, generations=5, weight_count=1).total_iterations() == 6
 
 
+def test_report_budget_counts_main_iterations(tsp_paths, tmp_path):
+    plan = small_plan(
+        tsp_paths, tmp_path / "out", weight_count=11, main_iterations=5, replications=1
+    )
+    outcome = run_experiment(plan)
+    assert "budget: 11 weights, 11 initial + 5 main = 16 iterations per run\n" in outcome.report
+
+
+def test_plan_defaults_are_method_config_defaults(tsp_paths, tmp_path):
+    config = small_plan(tsp_paths, tmp_path / "out", neighborhood_size=20).config_for("mogls", seed=3)
+    default = MethodConfig(method="mogls", objectives=2, generations=1, weight_count=6, seed=3)
+    assert config == default
+
+
 def test_plan_validation(tsp_paths, tmp_path):
     plan = small_plan(tsp_paths, tmp_path / "out")
     assert plan.n_objectives == 2

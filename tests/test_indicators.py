@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from moscal.indicators import (
+    R_WEIGHT_GRANULARITY,
     WilcoxonResult,
     hypervolume,
     r_measure,
@@ -11,6 +12,7 @@ from moscal.indicators import (
     union_reference_points,
     wilcoxon_signed_rank,
 )
+from moscal.scalarizing import generate_uniform_weights
 
 
 def oracle_r(points, weights, ref):
@@ -133,7 +135,7 @@ def exactness_cases(n_objectives):
 @pytest.mark.parametrize("n_objectives", [2, 3])
 def test_r_measure_bit_equal_to_frozen_oracle(n_objectives):
     rng = np.random.default_rng(30 + n_objectives)
-    lattice = np.asarray([tuple(w) for w in r_weight_set(n_objectives)])  # > 256 rows
+    lattice = r_weight_set(n_objectives)  # > 256 rows
     drawn = rng.dirichlet(np.ones(n_objectives), size=600)  # arbitrary float weights
     for pts in exactness_cases(n_objectives):
         for ref in (pts.min(axis=0), pts.min(axis=0) - rng.uniform(0.0, 50.0, n_objectives)):
@@ -169,13 +171,17 @@ def test_staircase_keeps_sequential_summation_order():
 def test_r_weight_set_counts():
     two = r_weight_set(2)
     three = r_weight_set(3)
-    assert len(two) == 1000
-    assert len(three) == 7626
-    for w in (two[0], two[-1], three[0], three[-1]):
-        assert sum(tuple(w)) == pytest.approx(1.0)
-    assert isinstance(three, tuple) and r_weight_set(3) is three  # built once
+    assert isinstance(three, np.ndarray) and three.dtype == float
+    assert two.shape == (1000, 2)
+    assert three.shape == (7626, 3)
+    assert np.array_equal(three, [w.lambdas for w in generate_uniform_weights(3, R_WEIGHT_GRANULARITY[3])])
+    assert not three.flags.writeable
+    assert r_weight_set(3) is three  # built once
+    assert r_weight_set(2, 101).shape == (101, 2)
     with pytest.raises(ValueError):
         r_weight_set(4)
+    with pytest.raises(ValueError, match="not a simplex-lattice count"):
+        r_weight_set(2, 0)
 
 
 def test_r_measure_hand_examples():
@@ -191,7 +197,7 @@ def test_r_measure_zero_when_reference_in_set():
     pts = rng.uniform(0, 50, size=(12, 2))
     ref = tuple(pts.min(axis=0))
     with_ref = np.vstack([pts, ref])
-    weights = np.asarray([tuple(w) for w in r_weight_set(2)])
+    weights = r_weight_set(2)
     assert r_measure(with_ref, weights, ref) == pytest.approx(0.0)
 
 
@@ -199,11 +205,11 @@ def test_r_measure_matches_oracle_and_chunking():
     rng = np.random.default_rng(2)
     pts = rng.uniform(-5, 40, size=(30, 2))
     ref = pts.min(axis=0) - 1.0
-    weights = np.asarray([tuple(w) for w in r_weight_set(2)])  # 1000 > chunk size
+    weights = r_weight_set(2)  # 1000 > chunk size
     got = r_measure(pts, weights, tuple(ref))
     want = oracle_r([tuple(p) for p in pts], weights.tolist(), tuple(ref))
     assert got == pytest.approx(want, rel=1e-10)
-    # three objectives, list-of-weight-vectors input form
+    # three objectives, a few weights
     pts3 = rng.uniform(0, 20, size=(15, 3))
     ref3 = tuple(pts3.min(axis=0))
     small = [(0.2, 0.3, 0.5), (1.0, 0.0, 0.0), (1 / 3, 1 / 3, 1 / 3)]
@@ -213,7 +219,7 @@ def test_r_measure_matches_oracle_and_chunking():
 
 def test_r_measure_monotone_in_point_set():
     rng = np.random.default_rng(3)
-    weights = np.asarray([tuple(w) for w in r_weight_set(2)])
+    weights = r_weight_set(2)
     for _ in range(20):
         pts = rng.uniform(0, 30, size=(10, 2))
         extra = rng.uniform(0, 30, size=(4, 2))

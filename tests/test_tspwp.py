@@ -282,6 +282,14 @@ def test_adapter_run_archives_raw_objectives():
         assert point[1] <= 0.0  # profit stored negated
 
 
+def test_adapter_transform_needs_begin_run():
+    adapter = TspwpAdapter(small_instance(8, np.random.default_rng(32)))
+    with pytest.raises(ValueError, match="begin_run was not called"):
+        adapter.scalarizing_transform()
+    adapter.begin_run(np.random.default_rng(0))
+    assert adapter.scalarizing_transform() == adapter.ranges.normalize
+
+
 def test_adapter_default_scalarizer_is_mixed():
     rng = np.random.default_rng(33)
     inst = small_instance(8, rng)
