@@ -27,7 +27,6 @@ from .experiment import (
     EXPECTED_RANK_PRESETS,
     PRESETS,
     PROBLEMS,
-    ExperimentPlan,
     format_table,
     pairwise_wilcoxon_report,
     read_results_csv,

@@ -61,6 +61,8 @@ class WeightVector:
         if any(l < 0.0 for l in self.lambdas):
             raise ValueError(f"negative weight in {self.lambdas}")
         total = sum(self.lambdas)
+        if not math.isfinite(total):  # none is negative, so a nan or inf weight
+            raise ValueError(f"weights must be finite, got {self.lambdas}")
         if abs(total - 1.0) > WEIGHT_SUM_TOL:
             raise ValueError(f"weights sum to {total!r}, expected 1")
 
@@ -96,6 +98,8 @@ class ScalarizerSpec:
             w_che = 1.0 - w_lin
         object.__setattr__(self, "w_linear", float(w_lin))
         object.__setattr__(self, "w_cheby", float(w_che))
+        if not (math.isfinite(self.w_linear) and math.isfinite(self.w_cheby)):
+            raise ValueError(f"mix weights must be finite, got ({self.w_linear}, {self.w_cheby})")
         if self.kind != "mixed" and (self.w_linear, self.w_cheby) != _MIX_WEIGHTS[self.kind]:
             raise ValueError(
                 f"{self.kind} scalarizer has fixed mix weights {_MIX_WEIGHTS[self.kind]}; "
@@ -158,29 +162,63 @@ class Scalarizer:
         The columns broadcast to one shape (...); they are written into a
         fresh C-contiguous (..., J) float array, laid out as `np.stack(...,
         axis=-1)` lays them out, which `value` would receive.  The result
-        equals `value` of that array bit for bit.
+        equals `value` of that array bit for bit: it is `value_blocks` with
+        that one block.
         """
-        if len(columns) != self.weights.shape[0]:
-            raise ValueError(f"{len(columns)} objective columns != weight dimension {self.weights.shape[0]}")
-        z = np.empty(np.broadcast(*columns).shape + (len(columns),))
+        j_count = self.weights.shape[0]
+        if len(columns) != j_count:
+            raise ValueError(f"{len(columns)} objective columns != weight dimension {j_count}")
+        shape = np.broadcast(*columns).shape
+        z = np.empty(shape + (j_count,))
         for j, column in enumerate(columns):
             z[..., j] = column
-        return self._scalarize(z)
+        return self.value_blocks(z.reshape(-1, j_count), (shape,)).reshape(shape)
 
-    def _scalarize(self, z: np.ndarray) -> np.ndarray:
+    def value_blocks(self, z: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> np.ndarray:
+        """Scalarize consecutive row blocks of one (N, J) array -> (N,).
+
+        Block b holds the next prod(shapes[b]) rows of `z`, the C-contiguous
+        (*shapes[b], J) array that `value` would receive.  The result equals
+        `value` of each block, raveled and concatenated, bit for bit: the
+        transform, the chebycheff term and the mix are elementwise and run
+        once over all N rows, while the linear term `block @ weights` runs on
+        each block's own shape, because the BLAS result depends on it.
+        """
+        z = np.asarray(z, dtype=float)
+        j_count = self.weights.shape[0]
+        sizes = [math.prod(shape) for shape in shapes]
+        if z.ndim != 2 or z.shape[1] != j_count or z.shape[0] != sum(sizes):
+            raise ValueError(f"blocks {list(shapes)} of {j_count} objectives do not tile an array of shape {z.shape}")
+
+        def blockwise_dot(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
+            out = np.empty(x.shape[0])
+            start = 0
+            for shape, size in zip(shapes, sizes):
+                stop = start + size
+                out[start:stop] = (x[start:stop].reshape(shape + (j_count,)) @ weights).reshape(-1)
+                start = stop
+            return out
+
+        return self._scalarize(z, blockwise_dot)
+
+    def _scalarize(
+        self, z: np.ndarray, dot: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.matmul
+    ) -> np.ndarray:
+        """Transform, then the kind's terms and their mix; `dot(z, weights)`
+        gives the linear term."""
         if self.transform is not None:
             z = self.transform(z)
         kind = self.spec.kind
         if kind == "linear":
-            return z @ self.weights
+            return dot(z, self.weights)
         cheby = self._chebycheff(z)
         if kind == "chebycheff":
             return cheby
         if self.spec.w_cheby == 0.0:
-            return z @ self.weights
+            return dot(z, self.weights)
         if self.spec.w_linear == 0.0:
             return cheby
-        return self.spec.w_linear * (z @ self.weights) + self.spec.w_cheby * cheby
+        return self.spec.w_linear * dot(z, self.weights) + self.spec.w_cheby * cheby
 
     def _chebycheff(self, z: np.ndarray) -> np.ndarray:
         """max_j lambda_j * (z_j - z_ref_j), taken one objective at a time.

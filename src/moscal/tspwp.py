@@ -140,18 +140,22 @@ def tspwp_local_search(
     """Steepest descent over four move families.
 
     Per step, the best of: 2-opt edge exchange inside the sub-tour, insertion
-    of an absent city at its cheapest position, deletion of a present city,
-    exchange of a present city for an absent one in place.  The first strictly
-    improving best move is applied; stops at a local optimum of the union
-    neighborhood.
+    of an absent city at its cheapest position, exchange of a present city
+    for an absent one in place, deletion of a present city.  The first
+    strictly improving best move is applied; stops at a local optimum of the
+    union neighborhood.
 
     The start sub-tour is validated once.  A step keeps the sub-tour closed on
     both sides, te = (t[m-1], t[0], ..., t[m-1], t[0]), gathers the cost rows
     of te once and reads every move's integer length change from them: the
     columns of te for 2-opt, the columns of the absent cities for insertion
-    and exchange.  Each family is scored by one `Scalarizer.value_columns`
-    call.  Ties go to the lowest index within a family and, between
-    families, to the first of edge, insert, swap, delete.
+    and exchange.  Each family writes its (length, -profit) points into the
+    next row block of one (N, 2) array, in the order edge (m, m), insert
+    (k,), swap (m, k), delete (m,) for m present and k absent cities, and
+    one `Scalarizer.value_blocks` call scores them all.  The move is the
+    global argmin, with the 2-opt pairs that are no move set to inf, so ties
+    go to the first of edge, insert, swap, delete and, within a family, to
+    the lowest index.
     """
     t = _check_subtour(instance, subtour).copy()
     costs, profits = instance.costs, instance.profits
@@ -170,74 +174,77 @@ def tspwp_local_search(
         if value_trace is not None:
             value_trace.append(value)
         absent = np.flatnonzero(~present)
-        absent_profits = profits[absent]
+        k = absent.size
         rows = costs[te]
-        moves: list[tuple[float, tuple]] = []
+        # the row blocks of the families: edge [0, ins), insert [ins, swp),
+        # swap [swp, dele), delete [dele, end); with n >= 4 cities some
+        # family always has a move
+        ins = m * m if m >= 4 else 0
+        swp = ins + k
+        dele = swp + m * k
+        z = np.empty((dele + (m if m >= 2 else 0), 2))
+        shapes = []
 
         if m >= 4:
             # 2-opt inside the sub-tour (length changes only)
-            d_len = _exchange_deltas(rows[1:, te[1:]])
-            vals = scalarizer.value_columns(point[0] + d_len, point[1])
-            vals[_invalid_pairs(m)] = np.inf
-            flat = int(vals.argmin())
-            bi, bk = divmod(flat, m)
-            if vals[bi, bk] < np.inf:
-                moves.append((float(vals[bi, bk]), ("edge", bi, bk)))
+            shapes.append((m, m))
+            ze = z[:ins].reshape(m, m, 2)
+            np.add(point[0], _exchange_deltas(rows[1:, te[1:]]), out=ze[..., 0])
+            ze[..., 1] = point[1]
 
-        if absent.size:
+        if k:
+            shapes += [(k,), (m, k)]
             to_absent = rows[:, absent]
+            absent_profits = profits[absent]
             # insertion: each absent city at its best (cheapest) position
             if m == 1:
                 inc = 2 * to_absent[1]
-                best_pos = np.zeros(absent.size, dtype=np.int64)
+                best_pos = np.zeros(k, dtype=np.int64)
             else:
                 inc_all = to_absent[1:-1] + to_absent[2:]
                 inc_all -= edges[1:, None]
                 best_pos = inc_all.argmin(axis=0)
-                inc = inc_all[best_pos, np.arange(absent.size)]
-            vals = scalarizer.value_columns(point[0] + inc, point[1] - absent_profits)
-            v = int(vals.argmin())
-            moves.append((float(vals[v]), ("insert", int(absent[v]), int(best_pos[v]))))
+                inc = inc_all[best_pos, np.arange(k)]
+            np.add(point[0], inc, out=z[ins:swp, 0])
+            np.subtract(point[1], absent_profits, out=z[ins:swp, 1])
 
             # exchange: absent city replaces a present one at its position
+            zs = z[swp:dele].reshape(m, k, 2)
             if m == 1:
-                d_len_x = np.zeros((1, absent.size))
+                zs[..., 0] = point[0]  # a single city has length 0 before and after
             else:
                 d_len_x = to_absent[:-2] + to_absent[2:]
                 d_len_x -= through[:, None]
-            d_prof = gained[:, None] - absent_profits[None, :]
-            vals = scalarizer.value_columns(point[0] + d_len_x, point[1] + d_prof)
-            flat = int(vals.argmin())
-            xi, xv = divmod(flat, absent.size)
-            moves.append((float(vals[xi, xv]), ("swap", xi, int(absent[xv]))))
+                np.add(point[0], d_len_x, out=zs[..., 0])
+            np.add(point[1], gained[:, None] - absent_profits[None, :], out=zs[..., 1])
 
         if m >= 2:
             # deletion of a present city
-            d_len_d = costs[te[:-2], te[2:]] - through
-            vals = scalarizer.value_columns(point[0] + d_len_d, point[1] + gained)
-            di = int(vals.argmin())
-            moves.append((float(vals[di]), ("delete", di)))
+            shapes.append((m,))
+            np.add(point[0], costs[te[:-2], te[2:]] - through, out=z[dele:, 0])
+            np.add(point[1], gained, out=z[dele:, 1])
 
-        if not moves:
+        vals = scalarizer.value_blocks(z, shapes)
+        if m >= 4:
+            vals[:ins].reshape(m, m)[_invalid_pairs(m)] = np.inf
+        best = int(vals.argmin())
+        if not vals[best] < value - IMPROVEMENT_EPS:
             break
-        best_val, move = min(moves, key=lambda mv: mv[0])
-        if not best_val < value - IMPROVEMENT_EPS:
-            break
-        kind = move[0]
-        if kind == "edge":
-            _, i, k = move
-            t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]
-        elif kind == "insert":
-            _, city, pos = move
+        if best < ins:
+            i, j = divmod(best, m)
+            t[i + 1 : j + 1] = t[i + 1 : j + 1][::-1]
+        elif best < swp:
+            v = best - ins
+            pos, city = int(best_pos[v]), absent[v]
             t = np.concatenate((t[: pos + 1], [city], t[pos + 1 :]))
             present[city] = True
-        elif kind == "swap":
-            _, pos, city = move
+        elif best < dele:
+            pos, v = divmod(best - swp, k)
             present[t[pos]] = False
-            present[city] = True
-            t[pos] = city
-        else:  # delete
-            _, pos = move
+            present[absent[v]] = True
+            t[pos] = absent[v]
+        else:
+            pos = best - dele
             present[t[pos]] = False
             t = np.concatenate((t[:pos], t[pos + 1 :]))
     return t

@@ -119,6 +119,10 @@ def test_run_flag_conflicts(tsp_files, tmp_path, capsys):
         assert run_cli(*base, "--generations", "1", "--weights", "6",
                        "--scalarizer", kind, flag, "0.3") == 1
         assert "fixed mix weights" in capsys.readouterr().err
+    for flag, value in (("--w-linear", "nan"), ("--w-cheby", "nan"), ("--w-linear", "inf")):
+        assert run_cli(*base, "--generations", "1", "--weights", "6",
+                       "--scalarizer", "mixed", flag, value) == 1
+        assert "mix weights must be finite" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
 

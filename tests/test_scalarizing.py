@@ -28,6 +28,9 @@ def test_weight_vector_invariants():
         WeightVector((1.0,))
     # within tolerance 1e-9 is accepted
     WeightVector((0.5, 0.5 + 5e-10))
+    for lambdas in ((float("nan"), 1.0), (0.5, 0.5, float("nan")), (float("inf"), 0.0)):
+        with pytest.raises(ValueError, match="weights must be finite"):
+            WeightVector(lambdas)
 
 
 def test_as_point_validation():
@@ -132,6 +135,12 @@ def test_scalarizer_spec_validation():
     for kind, mix in (("linear", dict(w_linear=0.3)), ("linear", dict(w_cheby=0.5)),
                       ("chebycheff", dict(w_cheby=0.2)), ("chebycheff", dict(w_linear=0.5, w_cheby=0.5))):
         with pytest.raises(ValueError, match="fixed mix weights"):
+            ScalarizerSpec(kind, **mix)
+    nan, inf = float("nan"), float("inf")
+    for kind, mix in (("mixed", dict(w_linear=nan)), ("mixed", dict(w_cheby=nan)),
+                      ("mixed", dict(w_linear=inf)), ("mixed", dict(w_linear=0.5, w_cheby=nan)),
+                      ("linear", dict(w_linear=nan))):
+        with pytest.raises(ValueError, match="mix weights must be finite"):
             ScalarizerSpec(kind, **mix)
     assert ScalarizerSpec("linear", w_linear=1.0) == ScalarizerSpec("linear")
     assert ScalarizerSpec("chebycheff", w_linear=0.0, w_cheby=1.0) == ScalarizerSpec("chebycheff")

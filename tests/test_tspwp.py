@@ -486,3 +486,68 @@ def test_value_columns_bit_matches_value_on_search_shapes():
             expected = frozen_value(weights, spec, ref, ranges if normalized else None, stacked)
             assert s.value(stacked).tobytes() == expected.tobytes(), (case, name)
             assert s.value_columns(*columns).tobytes() == expected.tobytes(), (case, name)
+
+
+def test_value_blocks_bit_matches_value_columns_per_family():
+    # tspwp_local_search scores the families as row blocks of one (N, 2)
+    # array: edge (m, m) when m >= 4, insert (k,) and swap (m, k) when k > 0,
+    # delete (m,) when m >= 2; each block must score as its family alone
+    rng = np.random.default_rng(23)
+    specs = (
+        ScalarizerSpec("linear"),
+        ScalarizerSpec("chebycheff"),
+        ScalarizerSpec("mixed", w_linear=0.001),
+        ScalarizerSpec("mixed", w_linear=1.0, w_cheby=0.0),
+        ScalarizerSpec("mixed", w_linear=0.0, w_cheby=1.0),
+    )
+    sizes = [(1, 5), (2, 7), (3, 1), (3, 40), (4, 0), (17, 0), (4, 3), (1, 49)]
+    sizes += [tuple(int(v) for v in rng.integers(1, 41, size=2)) for _ in range(32)]
+    covered = set()
+    for case, (spec, normalized, (m, k)) in enumerate(itertools.product(specs, (False, True), sizes)):
+        cost = int(10.0 ** rng.uniform(1, 7))  # travel costs up to about 1e7
+        length = float(rng.integers(0, cost * max(m, 2)))
+        profit = -float(rng.integers(0, 700 * m))
+        families = []
+        if m >= 4:
+            families.append(("edge", (length + rng.integers(-2 * cost, 2 * cost, size=(m, m)), profit)))
+        if k:
+            families.append(("insert", (length + rng.integers(0, 2 * cost, size=k),
+                                        profit - rng.integers(0, 99, size=k))))
+            families.append(("swap", (length + rng.integers(-2 * cost, 2 * cost, size=(m, k)),
+                                      profit + rng.integers(-99, 99, size=(m, k)))))
+        if m >= 2:
+            families.append(("delete", (length - rng.integers(0, 2 * cost, size=m),
+                                        profit + rng.integers(0, 99, size=m))))
+        covered.update(name for name, _ in families)
+        ranges = ObjectiveRanges((-0.1 * cost, -700.0 * m - 100.0), (cost * (m + 2), 1.0)) if normalized else None
+        ref = None
+        if spec.kind != "linear":
+            ref = tuple(float(v) for v in rng.uniform(-0.1, 0.5, size=2) * (1.0 if normalized else cost))
+        weights = tuple(rng.dirichlet(np.ones(2)))
+        s = Scalarizer(weights, spec, ref, transform=ranges.normalize if ranges else None)
+        shapes = [np.broadcast(*columns).shape for _, columns in families]
+        z = np.empty((sum(math.prod(shape) for shape in shapes), 2))
+        start = 0
+        for (_, columns), shape in zip(families, shapes):
+            stop = start + math.prod(shape)
+            for j, column in enumerate(columns):
+                z[start:stop].reshape(shape + (2,))[..., j] = column
+            start = stop
+        vals = s.value_blocks(z, shapes)
+        assert vals.shape == (z.shape[0],)
+        start = 0
+        for (name, columns), shape in zip(families, shapes):
+            stop = start + math.prod(shape)
+            block = vals[start:stop].tobytes()
+            assert block == s.value_columns(*columns).tobytes(), (case, name)
+            assert block == s.value(np.stack(np.broadcast_arrays(*columns), axis=-1)).tobytes(), (case, name)
+            start = stop
+    assert covered == {"edge", "insert", "swap", "delete"}
+
+
+def test_value_blocks_rejects_blocks_that_do_not_tile():
+    s = Scalarizer((0.5, 0.5), ScalarizerSpec("linear"))
+    with pytest.raises(ValueError, match="do not tile"):
+        s.value_blocks(np.zeros((5, 2)), [(2, 2)])
+    with pytest.raises(ValueError, match="do not tile"):
+        s.value_blocks(np.zeros((4, 3)), [(2, 2)])
