@@ -182,6 +182,8 @@ def parse_scp(path) -> ScpInstance:
             col = take()
             if not 1 <= col <= n_cols:
                 raise ParseError(path, lineno, f"column index {col} out of 1..{n_cols}")
+            if coverage[row, col - 1]:
+                raise ParseError(path, lineno, f"row {row + 1} lists column {col} twice")
             coverage[row, col - 1] = True
     if cursor != len(tokens):
         raise ParseError(path, tokens[cursor][0], "trailing tokens after last row block")

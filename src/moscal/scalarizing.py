@@ -7,6 +7,12 @@ point to a single value, lower is better:
     linear       s(z) = sum_j lambda_j * z_j
     chebycheff   s(z) = max_j lambda_j * (z_j - z_ref_j)
     mixed        w_linear * linear + w_cheby * chebycheff
+
+The linear sum is taken left to right, one objective at a time:
+z_0*lambda_0 + z_1*lambda_1 (+ z_2*lambda_2 ...).  Every operation is
+elementwise, so a point gets the same bits whatever the shape or memory
+layout of the array that holds it, and on every machine; a BLAS dot product
+would not guarantee that.
 """
 
 from __future__ import annotations
@@ -139,6 +145,9 @@ class Scalarizer:
             self.reference = np.array(reference, dtype=float)
             if self.reference.shape != self.weights.shape:
                 raise ValueError("reference point and weights disagree on dimension")
+        # Python floats for the per-point path of __call__
+        self._lambdas = self.weights.tolist()
+        self._reference = None if self.reference is None else self.reference.tolist()
 
     @property
     def kind(self) -> str:
@@ -159,11 +168,8 @@ class Scalarizer:
     def value_columns(self, *columns: np.ndarray | float) -> np.ndarray:
         """Scalarize points given one objective per argument -> (...).
 
-        The columns broadcast to one shape (...); they are written into a
-        fresh C-contiguous (..., J) float array, laid out as `np.stack(...,
-        axis=-1)` lays them out, which `value` would receive.  The result
-        equals `value` of that array bit for bit: it is `value_blocks` with
-        that one block.
+        The columns broadcast to one shape (...); the result equals `value`
+        of the stacked (..., J) array bit for bit.
         """
         j_count = self.weights.shape[0]
         if len(columns) != j_count:
@@ -172,53 +178,31 @@ class Scalarizer:
         z = np.empty(shape + (j_count,))
         for j, column in enumerate(columns):
             z[..., j] = column
-        return self.value_blocks(z.reshape(-1, j_count), (shape,)).reshape(shape)
+        return self._scalarize(z)
 
-    def value_blocks(self, z: np.ndarray, shapes: Sequence[tuple[int, ...]]) -> np.ndarray:
-        """Scalarize consecutive row blocks of one (N, J) array -> (N,).
-
-        Block b holds the next prod(shapes[b]) rows of `z`, the C-contiguous
-        (*shapes[b], J) array that `value` would receive.  The result equals
-        `value` of each block, raveled and concatenated, bit for bit: the
-        transform, the chebycheff term and the mix are elementwise and run
-        once over all N rows, while the linear term `block @ weights` runs on
-        each block's own shape, because the BLAS result depends on it.
-        """
-        z = np.asarray(z, dtype=float)
-        j_count = self.weights.shape[0]
-        sizes = [math.prod(shape) for shape in shapes]
-        if z.ndim != 2 or z.shape[1] != j_count or z.shape[0] != sum(sizes):
-            raise ValueError(f"blocks {list(shapes)} of {j_count} objectives do not tile an array of shape {z.shape}")
-
-        def blockwise_dot(x: np.ndarray, weights: np.ndarray) -> np.ndarray:
-            out = np.empty(x.shape[0])
-            start = 0
-            for shape, size in zip(shapes, sizes):
-                stop = start + size
-                out[start:stop] = (x[start:stop].reshape(shape + (j_count,)) @ weights).reshape(-1)
-                start = stop
-            return out
-
-        return self._scalarize(z, blockwise_dot)
-
-    def _scalarize(
-        self, z: np.ndarray, dot: Callable[[np.ndarray, np.ndarray], np.ndarray] = np.matmul
-    ) -> np.ndarray:
-        """Transform, then the kind's terms and their mix; `dot(z, weights)`
-        gives the linear term."""
+    def _scalarize(self, z: np.ndarray) -> np.ndarray:
+        """Transform, then the kind's terms and their mix."""
         if self.transform is not None:
             z = self.transform(z)
         kind = self.spec.kind
         if kind == "linear":
-            return dot(z, self.weights)
+            return self._linear(z)
         cheby = self._chebycheff(z)
         if kind == "chebycheff":
             return cheby
         if self.spec.w_cheby == 0.0:
-            return dot(z, self.weights)
+            return self._linear(z)
         if self.spec.w_linear == 0.0:
             return cheby
-        return self.spec.w_linear * dot(z, self.weights) + self.spec.w_cheby * cheby
+        return self.spec.w_linear * self._linear(z) + self.spec.w_cheby * cheby
+
+    def _linear(self, z: np.ndarray) -> np.ndarray:
+        """sum_j lambda_j * z_j, added left to right."""
+        w = self.weights
+        lin = z[..., 0] * w[0]
+        for j in range(1, w.size):
+            lin = lin + z[..., j] * w[j]
+        return lin
 
     def _chebycheff(self, z: np.ndarray) -> np.ndarray:
         """max_j lambda_j * (z_j - z_ref_j), taken one objective at a time.
@@ -234,7 +218,35 @@ class Scalarizer:
         return cheby
 
     def __call__(self, z: Sequence[float]) -> float:
-        return float(self.value(np.asarray(z, dtype=float)))
+        """Scalarize one point; equals `value` of the 1-D point bit for bit.
+
+        Without a transform, the same operations run in the same order on
+        Python floats, which skips numpy's per-call overhead.  Ties of the
+        chebycheff max go to the later term, and a nan propagates, as in
+        `np.maximum`.
+        """
+        if self.transform is not None:
+            return float(self.value(np.asarray(z, dtype=float)))
+        z = [float(v) for v in z]
+        w = self._lambdas
+        if len(z) != len(w):
+            raise ValueError(f"point dimension {len(z)} != weight dimension {len(w)}")
+        kind = self.spec.kind
+        if kind != "chebycheff":
+            lin = z[0] * w[0]
+            for j in range(1, len(w)):
+                lin = lin + z[j] * w[j]
+            if kind == "linear" or self.spec.w_cheby == 0.0:
+                return lin
+        ref = self._reference
+        cheby = w[0] * (z[0] - ref[0])
+        for j in range(1, len(w)):
+            term = w[j] * (z[j] - ref[j])
+            if term >= cheby or term != term:
+                cheby = term
+        if kind == "chebycheff" or self.spec.w_linear == 0.0:
+            return cheby
+        return self.spec.w_linear * lin + self.spec.w_cheby * cheby
 
 
 def uniform_weight_count(n_objectives: int, granularity: int) -> int:

@@ -4,7 +4,10 @@ Solutions are frozensets of selected column indices.  The local-search
 neighborhood removes one selected column at a time and greedily repairs the
 cover with that column excluded, so every move yields a genuinely different
 solution; the best strictly-improving repaired neighbor is applied (steepest
-descent).  Recombination keeps the parents' common columns, adds each
+descent).  A step scores all removals with one batched scalarizer call and
+reuses each scored point's value: the scalarizer's values do not depend on
+the shape of the array, so a row of a batch equals the point scored alone.
+Recombination keeps the parents' common columns, adds each
 single-parent column with probability 1/2, then covers any remaining rows
 with uniformly random covering columns.
 """
@@ -12,6 +15,7 @@ with uniformly random covering columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -82,8 +86,17 @@ class ScpInstance:
         return self.costs.shape[0]
 
     def row_covers(self, row: int) -> np.ndarray:
-        """Indices of the columns covering `row`."""
-        return np.flatnonzero(self.coverage[row])
+        """Indices of the columns covering `row`, ascending."""
+        return self._row_covers[row]
+
+    @cached_property
+    def _row_covers(self) -> tuple[np.ndarray, ...]:
+        return tuple(np.flatnonzero(line) for line in self.coverage)
+
+    @cached_property
+    def _column_costs(self) -> np.ndarray:
+        """(n_columns, J) float costs; `take` of its rows is a fast gather."""
+        return np.ascontiguousarray(self.costs.T, dtype=float)
 
 
 def _as_columns(instance: ScpInstance, solution: Iterable[int]) -> np.ndarray:
@@ -113,35 +126,40 @@ def _repair(
     instance: ScpInstance,
     scalarizer: Scalarizer,
     point: np.ndarray,
+    value: float,
     uncovered: np.ndarray,
     allowed: np.ndarray,
-) -> list[int]:
-    """Greedy insertions that cover the `uncovered` rows; returns them in order.
+) -> tuple[list[int], float]:
+    """Greedy insertions that cover the `uncovered` rows.
 
-    `point` (float cost sums) is advanced in place to the repaired cover's
-    sums; `uncovered` is used up.  The per-column count of newly covered
-    rows is computed once and then reduced by the rows each insertion gains.
-    Returns only once the uncovered-row count reaches zero, so the extended
-    selection is always a cover.
+    `value` is the scalarizing value of `point` (float cost sums).  Returns
+    the insertions in order and the value of the repaired point; `point` is
+    advanced in place to the repaired cover's sums and `uncovered` is used
+    up.  Each insertion scores its candidates with one `value` call, and the
+    value of the point it picks is the next insertion's base.  The
+    per-column count of newly covered rows is computed once and then reduced
+    by the rows each insertion gains.  Returns only once the uncovered-row
+    count reaches zero, so the extended selection is always a cover.
     """
     picks: list[int] = []
     remaining = int(np.count_nonzero(uncovered))
     if not remaining:
-        return picks
-    coverage, costs = instance.coverage, instance.costs
+        return picks, value
+    coverage, column_costs = instance.coverage, instance._column_costs
     newly = coverage[uncovered].sum(axis=0)
     while True:
         candidates = ((newly > 0) & allowed).nonzero()[0]
         if candidates.size == 0:
             raise RepairError("no admissible column covers the remaining rows")
-        base = scalarizer.value(point)
-        increase = scalarizer.value(point[None, :] + costs[:, candidates].T) - base
-        pick = int(candidates[(increase / newly[candidates]).argmin()])
+        vals = scalarizer.value(column_costs.take(candidates, axis=0) + point)
+        best = int(((vals - value) / newly[candidates]).argmin())
+        pick = int(candidates[best])
         picks.append(pick)
-        point += costs[:, pick]
+        point += column_costs[pick]
+        value = vals[best]
         remaining -= int(newly[pick])
         if remaining <= 0:
-            return picks
+            return picks, float(value)
         gained = uncovered & coverage[:, pick]
         uncovered ^= gained
         newly -= coverage[gained].sum(axis=0)
@@ -166,7 +184,8 @@ def greedy_repair(
             raise ValueError("excluded column out of range")
         allowed[excluded] = False
     point = instance.costs[:, cols].sum(axis=1).astype(float)
-    picks = _repair(instance, scalarizer, point, ~_covered_rows(instance, cols), allowed)
+    uncovered = ~_covered_rows(instance, cols)
+    picks, _ = _repair(instance, scalarizer, point, scalarizer(point), uncovered, allowed)
     return frozenset(cols.tolist()).union(picks)
 
 
@@ -180,14 +199,22 @@ def scp_local_search(
 
     Each step tentatively removes every selected column in turn, repairs the
     cover with that column excluded, and applies the best repaired neighbor
-    if it strictly improves the scalarizing value.
+    if it strictly improves the scalarizing value: the removals are walked
+    in column order, and a neighbor is taken only when its value is below
+    the best so far by more than `IMPROVEMENT_EPS`.
 
     Per step, the per-row cover counts and the integer cost sums of the
-    current cover are computed once; each neighbor starts from them.  Costs
-    are integers, so the repaired float point equals `scp_evaluate` of the
-    neighbor exactly.
+    current cover are computed once.  Every removal's point, the sums minus
+    the column's costs, is one row of a (c, J) array, scored with one
+    `Scalarizer.value` call.  A removal that leaves no row uncovered is then
+    scored.  One that uncovers a single row takes that row's other covering
+    columns as candidates, each covering one new row, so the insertion is
+    the argmin of the value increases and the neighbor's value is that of
+    the point it picks.  One that uncovers more rows runs the greedy repair,
+    whose last insertion gives the neighbor's value.  Costs are integers, so
+    every float point equals `scp_evaluate` of its cover exactly.
     """
-    coverage, costs = instance.coverage, instance.costs
+    coverage, costs, column_costs = instance.coverage, instance.costs, instance._column_costs
     current = frozenset(_as_columns(instance, solution).tolist())
     value = scalarizer(scp_evaluate(instance, current))
     if value_trace is not None:
@@ -195,25 +222,43 @@ def scp_local_search(
     allowed = np.ones(instance.n_columns, dtype=bool)
     while True:
         cols = np.asarray(sorted(current), dtype=np.int64)
-        counts = coverage[:, cols].sum(axis=1)
+        selected = coverage[:, cols]
+        counts = selected.sum(axis=1)
         # recounted from scratch: guards the repair's incremental bookkeeping
         if not counts.all():
             raise RuntimeError("local search reached an infeasible cover")
-        total = costs[:, cols].sum(axis=1)
+        # lonely[:, i]: the rows that removing cols[i] uncovers
+        lonely = selected & (counts == 1)[:, None]
+        n_lonely = lonely.sum(axis=0).tolist()
+        first = lonely.argmax(axis=0).tolist()
+        chosen = costs[:, cols]
+        points = (chosen.sum(axis=1) - chosen.T).astype(float)
+        removal_values = scalarizer.value(points)
         best_value = value
         best: tuple[int, list[int]] | None = None
-        for col in cols.tolist():
-            point = (total - costs[:, col]).astype(float)
-            allowed[col] = False
-            try:
-                picks = _repair(instance, scalarizer, point, counts <= coverage[:, col], allowed)
-            except RepairError:
-                continue
-            finally:
-                allowed[col] = True
-            neighbor_value = scalarizer(point)
+        for i, col in enumerate(cols.tolist()):
+            if n_lonely[i] == 0:
+                picks, neighbor_value = [], removal_values[i]
+            elif n_lonely[i] == 1:
+                candidates = instance.row_covers(first[i])
+                candidates = candidates[candidates != col]
+                if candidates.size == 0:
+                    continue
+                vals = scalarizer.value(column_costs.take(candidates, axis=0) + points[i])
+                pick = int((vals - removal_values[i]).argmin())
+                picks, neighbor_value = [int(candidates[pick])], vals[pick]
+            else:
+                allowed[col] = False
+                try:
+                    picks, neighbor_value = _repair(
+                        instance, scalarizer, points[i], removal_values[i], lonely[:, i].copy(), allowed
+                    )
+                except RepairError:
+                    continue
+                finally:
+                    allowed[col] = True
             if neighbor_value < best_value - IMPROVEMENT_EPS:
-                best_value = neighbor_value
+                best_value = float(neighbor_value)
                 best = (col, picks)
         if best is None:
             return current

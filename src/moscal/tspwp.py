@@ -152,7 +152,7 @@ def tspwp_local_search(
     and exchange.  Each family writes its (length, -profit) points into the
     next row block of one (N, 2) array, in the order edge (m, m), insert
     (k,), swap (m, k), delete (m,) for m present and k absent cities, and
-    one `Scalarizer.value_blocks` call scores them all.  The move is the
+    one `Scalarizer.value` call scores them all.  The move is the
     global argmin, with the 2-opt pairs that are no move set to inf, so ties
     go to the first of edge, insert, swap, delete and, within a family, to
     the lowest index.
@@ -183,17 +183,14 @@ def tspwp_local_search(
         swp = ins + k
         dele = swp + m * k
         z = np.empty((dele + (m if m >= 2 else 0), 2))
-        shapes = []
 
         if m >= 4:
             # 2-opt inside the sub-tour (length changes only)
-            shapes.append((m, m))
             ze = z[:ins].reshape(m, m, 2)
             np.add(point[0], _exchange_deltas(rows[1:, te[1:]]), out=ze[..., 0])
             ze[..., 1] = point[1]
 
         if k:
-            shapes += [(k,), (m, k)]
             to_absent = rows[:, absent]
             absent_profits = profits[absent]
             # insertion: each absent city at its best (cheapest) position
@@ -220,11 +217,10 @@ def tspwp_local_search(
 
         if m >= 2:
             # deletion of a present city
-            shapes.append((m,))
             np.add(point[0], costs[te[:-2], te[2:]] - through, out=z[dele:, 0])
             np.add(point[1], gained, out=z[dele:, 1])
 
-        vals = scalarizer.value_blocks(z, shapes)
+        vals = scalarizer.value(z)
         if m >= 4:
             vals[:ins].reshape(m, m)[_invalid_pairs(m)] = np.inf
         best = int(vals.argmin())

@@ -1,4 +1,5 @@
 import json
+import os
 import shutil
 import subprocess
 import sys
@@ -304,3 +305,24 @@ def test_console_script_runs(tsp_files, tmp_path):
     )
     assert module_result.returncode == 0, module_result.stderr
     assert module_result.stdout.startswith("archive,points,R,HV")
+
+
+def test_python_dash_m_moscal_runs_in_a_bare_checkout(tmp_path):
+    # only PYTHONPATH=src: no installed package and no console script
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    cov = tmp_path / "cov"
+    gen = subprocess.run(
+        [sys.executable, "-m", "moscal", "gen", "--kind", "scp", "--out", str(cov),
+         "--seed", "2", "--rows", "10", "--cols", "25"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert gen.returncode == 0, gen.stderr
+    run = subprocess.run(
+        [sys.executable, "-m", "moscal", "run", "--problem", "moscp", "--method", "umogls",
+         "--instance", str(tmp_path / "cov.scp"), "--generations", "1", "--weights", "6",
+         "--seed", "3", "--out", str(tmp_path / "cov.csv")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert run.returncode == 0, run.stderr
+    assert read_points_csv(tmp_path / "cov.csv")

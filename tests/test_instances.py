@@ -95,6 +95,15 @@ def test_scp_parse_errors(tmp_path):
     trailing.write_text("1 2 2\n3 5\n2 4\n1 1\n99\n")
     with pytest.raises(ParseError, match="trailing"):
         parse_scp(trailing)
+    # the row line "2 1 1" declares two columns but names one
+    repeated = tmp_path / "repeated.scp"
+    repeated.write_text("2 2 2\n3 5\n2 4\n1 2\n2 1 1\n")
+    with pytest.raises(ParseError, match="repeated.scp:5: row 2 lists column 1 twice"):
+        parse_scp(repeated)
+    wrapped = tmp_path / "wrapped.scp"
+    wrapped.write_text("1 3 2\n3 5 7\n2 4 6\n3 2\n3\n2\n")
+    with pytest.raises(ParseError, match="wrapped.scp:6: row 1 lists column 2 twice"):
+        parse_scp(wrapped)
 
 
 def test_load_tsp_instance(tmp_path):

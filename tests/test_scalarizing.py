@@ -153,19 +153,72 @@ def test_scalarizer_spec_validation():
         s((1.0, 2.0, 3.0))
 
 
+def bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
 def test_scalarizer_batch_matches_scalar_calls():
+    # a point gets the same bits whatever array holds it: C- or F-ordered
+    # (N, J), an (a, b, J) block or its raveled rows, alone as a 1-D point,
+    # or as a tuple through __call__; zero weights and reference coordinates
+    # on the lattice make chebycheff ties between -0.0 and 0.0 terms
     rng = np.random.default_rng(5)
-    pts = rng.uniform(0, 10, size=(40, 2))
-    for spec in [
+    specs = (
         ScalarizerSpec("linear"),
         ScalarizerSpec("chebycheff"),
         ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999),
-    ]:
-        s = Scalarizer((0.3, 0.7), spec, (0.0, 0.0))
-        batch = s.value(pts)
-        assert batch.shape == (40,)
-        for row, val in zip(pts, batch):
-            assert s(tuple(row)) == pytest.approx(val)
+        ScalarizerSpec("mixed", w_linear=1.0, w_cheby=0.0),
+        ScalarizerSpec("mixed", w_linear=0.0, w_cheby=1.0),
+    )
+    signed_zero_ties = 0
+    for case in range(60):
+        j = 2 + case % 2
+        spec = specs[case % len(specs)]
+        lam = rng.dirichlet(np.ones(j))
+        if case % 3 == 0:
+            lam[0], lam[1] = 0.0, lam[0] + lam[1]  # -0.0 terms where z_0 < ref_0
+        ref = np.round(rng.uniform(-5, 5, size=j))
+        pts = np.round(rng.uniform(-10, 10, size=(6, 4, j)) * 10.0 ** int(rng.integers(0, 6)), case % 3)
+        pts[::2, :, 1:] = ref[1:]  # 0.0 terms: ties with the -0.0 ones
+        pts[:, 1::2, 0] = ref[0] - 1.0
+        lows, spans = rng.uniform(-3, 0, size=j), rng.uniform(1, 4, size=j)
+        transform = (lambda z, lows=lows, spans=spans: (z - lows) / spans) if case % 4 >= 2 else None
+        s = Scalarizer(tuple(lam), spec, tuple(ref), transform=transform)
+        block = s.value(pts)
+        assert block.shape == (6, 4)
+        flat = pts.reshape(-1, j)
+        batch = s.value(flat)
+        assert bits(batch) == bits(block.ravel()), case
+        assert bits(s.value(np.asfortranarray(flat))) == bits(batch), case
+        for row, val in zip(flat, batch):
+            assert bits(s.value(row)) == bits(val), case
+            assert bits(s(tuple(row))) == bits(val), case
+            assert bits(s(row)) == bits(val), case
+        if spec.kind != "linear" and transform is None:
+            terms = s.weights * (flat - ref)
+            tied = (terms == terms.max(axis=1, keepdims=True)).sum(axis=1) > 1
+            signed_zero_ties += int((tied & (terms.max(axis=1) == 0.0)).sum())
+    assert signed_zero_ties > 0
+
+
+def test_scalarizer_call_propagates_nan_like_value():
+    for spec, ref in ((ScalarizerSpec("linear"), None), (ScalarizerSpec("chebycheff"), (0.0, 0.0, 0.0)),
+                      (ScalarizerSpec("mixed", w_linear=0.5), (0.0, 0.0, 0.0))):
+        s = Scalarizer((0.2, 0.3, 0.5), spec, ref)
+        for pos in range(3):
+            z = [1.0, 2.0, 3.0]
+            z[pos] = float("nan")
+            assert math.isnan(s(z)) and math.isnan(float(s.value(np.asarray(z))))
+
+
+def test_scalarizer_rejects_points_of_the_wrong_dimension():
+    for spec, ref in ((ScalarizerSpec("linear"), None), (ScalarizerSpec("chebycheff"), (0.0, 0.0))):
+        s = Scalarizer((0.5, 0.5), spec, ref)
+        for z in ((1.0,), (1.0, 2.0, 3.0), np.zeros(3)):
+            with pytest.raises(ValueError, match="point dimension"):
+                s(z)
+            with pytest.raises(ValueError, match="point dimension"):
+                s.value(np.asarray(z, dtype=float))
 
 
 def test_scalarizer_transform_applies_before_scalarizing():

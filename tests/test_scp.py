@@ -233,7 +233,9 @@ def test_local_search_results_are_oracle_local_optima():
 def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ties=None):
     """Oracle: removal-and-repair search as first written, every neighbour
     rebuilt from scratch by a full repair and re-evaluated.  `ties` counts
-    exact ties in the repair's ratio argmin and in the best neighbour value."""
+    exact ties in the repair's ratio argmin and in the best neighbour value,
+    and near ties: a later neighbour below the best so far by at most
+    IMPROVEMENT_EPS, which the column-order walk does not take."""
 
     def as_columns(solution):
         cols = np.asarray(sorted(solution), dtype=np.int64)
@@ -292,6 +294,8 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ti
             neighbor_value = scalarizer(evaluate(neighbor))
             if ties is not None and best is not None and neighbor_value == best_value:
                 ties["value"] += 1
+            if ties is not None and best is not None and best_value - IMPROVEMENT_EPS <= neighbor_value < best_value:
+                ties["near"] += 1
             if neighbor_value < best_value - IMPROVEMENT_EPS:
                 best_value = neighbor_value
                 best = neighbor
@@ -340,7 +344,7 @@ def test_local_search_matches_frozen_oracle_on_ties():
     # for a cheap one improve, so those ties decide the result
     rng = np.random.default_rng(131)
     kinds = ("linear", "chebycheff", "mixed")
-    ties = {"ratio": 0, "value": 0}
+    ties = {"ratio": 0, "value": 0, "near": 0}
     for case in range(40):
         n_obj = 2 + case % 2
         n_rows, n_base = int(rng.integers(6, 21)), int(rng.integers(6, 21))
@@ -352,7 +356,31 @@ def test_local_search_matches_frozen_oracle_on_ties():
         inst = ScpInstance(base_costs[:, cols], base[:, cols])
         s = oracle_scalarizer(kinds[case % 3], n_obj, rng)
         assert_matches_frozen_search(inst, padded_cover(inst, rng), s, ties)
-    assert ties["ratio"] > 0 and ties["value"] > 0, ties
+    # lattice weights u/H and integer costs: each column gets a twin that
+    # covers the same rows at costs shifted by (u_1, -u_0, 0): sum_j u_j c_j is
+    # unchanged, so the twins' neighbours have equal values in exact
+    # arithmetic and often differ by an ulp in floats.  Starts hold a few twin
+    # pairs.  Taking the global argmin of the neighbour values instead of
+    # walking them in column order changes the search on such near ties.
+    rng = np.random.default_rng(137)
+    for case in range(60):
+        n_obj = 2 + case % 2
+        h = (3, 10, 30)[case % 3]
+        units = rng.multinomial(h - n_obj, np.ones(n_obj) / n_obj) + 1
+        n_rows, n_base = int(rng.integers(6, 21)), int(rng.integers(8, 25))
+        coverage = rng.random((n_rows, n_base)) < 0.3
+        coverage[np.arange(n_rows), rng.integers(n_base, size=n_rows)] = True
+        costs = rng.integers(1, 8, size=(n_obj, n_base)) + units[0]
+        shift = np.zeros((n_obj, 1), dtype=np.int64)
+        shift[:2, 0] = units[1], -units[0]
+        inst = ScpInstance(np.hstack([costs, costs + shift]), np.hstack([coverage, coverage]))
+        pairs = rng.choice(n_base, size=3, replace=False)
+        start = padded_cover(inst, rng) | frozenset(pairs.tolist()) | frozenset((pairs + n_base).tolist())
+        kind = kinds[(case // 6) % 3]
+        ref = tuple(float(v) for v in rng.integers(0, 10, size=n_obj)) if kind != "linear" else None
+        s = Scalarizer(tuple(units / h), ScalarizerSpec(kind), ref)
+        assert_matches_frozen_search(inst, start, s, ties)
+    assert ties["ratio"] > 0 and ties["value"] > 0 and ties["near"] > 0, ties
 
 
 def test_recombine_identical_parents():

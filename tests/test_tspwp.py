@@ -299,24 +299,35 @@ def test_adapter_default_scalarizer_is_mixed():
     assert spec.w_linear == pytest.approx(0.001)
 
 
+def fixed_order_dot(z, w):
+    """`z @ w` summed left to right over the last axis.  It equals `z @ w`
+    under a BLAS kernel without fused multiply-add, which
+    `tests/test_blas.py` checks on the shapes of this file's oracles."""
+    out = z[..., 0] * w[0]
+    for j in range(1, w.size):
+        out = out + z[..., j] * w[j]
+    return out
+
+
 def frozen_value(weights, spec, reference, ranges, z):
     """Oracle: `Scalarizer.value` and `ObjectiveRanges.normalize` as first
-    written, broadcasting over the last axis and reducing it with `max`."""
+    written, broadcasting over the last axis and reducing it with `max`; the
+    linear term is the fixed-order sum."""
     z = np.asarray(z, dtype=float)
     if ranges is not None:
         lows = np.asarray(ranges.lows)
         z = (z - lows) / (np.asarray(ranges.highs) - lows)
     w = np.asarray(weights, dtype=float)
     if spec.kind == "linear":
-        return z @ w
+        return fixed_order_dot(z, w)
     cheby = (w * (z - np.asarray(reference))).max(axis=-1)
     if spec.kind == "chebycheff":
         return cheby
     if spec.w_cheby == 0.0:
-        return z @ w
+        return fixed_order_dot(z, w)
     if spec.w_linear == 0.0:
         return cheby
-    return spec.w_linear * (z @ w) + spec.w_cheby * cheby
+    return spec.w_linear * fixed_order_dot(z, w) + spec.w_cheby * cheby
 
 
 def frozen_local_search(instance, subtour, weights, spec, reference, ranges, value_trace, ties):
@@ -488,10 +499,11 @@ def test_value_columns_bit_matches_value_on_search_shapes():
             assert s.value_columns(*columns).tobytes() == expected.tobytes(), (case, name)
 
 
-def test_value_blocks_bit_matches_value_columns_per_family():
+def test_value_of_flat_array_bit_matches_value_columns_per_family():
     # tspwp_local_search scores the families as row blocks of one (N, 2)
     # array: edge (m, m) when m >= 4, insert (k,) and swap (m, k) when k > 0,
-    # delete (m,) when m >= 2; each block must score as its family alone
+    # delete (m,) when m >= 2; each block of `value` of the flat array must
+    # score as its family alone
     rng = np.random.default_rng(23)
     specs = (
         ScalarizerSpec("linear"),
@@ -533,7 +545,7 @@ def test_value_blocks_bit_matches_value_columns_per_family():
             for j, column in enumerate(columns):
                 z[start:stop].reshape(shape + (2,))[..., j] = column
             start = stop
-        vals = s.value_blocks(z, shapes)
+        vals = s.value(z)
         assert vals.shape == (z.shape[0],)
         start = 0
         for (name, columns), shape in zip(families, shapes):
@@ -545,9 +557,11 @@ def test_value_blocks_bit_matches_value_columns_per_family():
     assert covered == {"edge", "insert", "swap", "delete"}
 
 
-def test_value_blocks_rejects_blocks_that_do_not_tile():
+def test_value_rejects_flat_arrays_of_the_wrong_dimension():
     s = Scalarizer((0.5, 0.5), ScalarizerSpec("linear"))
-    with pytest.raises(ValueError, match="do not tile"):
-        s.value_blocks(np.zeros((5, 2)), [(2, 2)])
-    with pytest.raises(ValueError, match="do not tile"):
-        s.value_blocks(np.zeros((4, 3)), [(2, 2)])
+    with pytest.raises(ValueError, match="point dimension 3 != weight dimension 2"):
+        s.value(np.zeros((4, 3)))
+    with pytest.raises(ValueError, match="point dimension 1 != weight dimension 2"):
+        s.value(np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="3 objective columns"):
+        s.value_columns(np.zeros(4), np.zeros(4), np.zeros(4))
