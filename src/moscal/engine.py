@@ -53,6 +53,15 @@ _UNIFORM_METHODS = ("umogls", "moead")
 
 IMPROVEMENT_EPS = 1e-9
 
+# objective values are floats, which hold every integer below 2**53 exactly
+EXACT_INT_LIMIT = 2**53
+
+
+def check_exact_integers(bound: int, what: str) -> None:
+    """Reject an instance whose integer objective sums may reach 2**53."""
+    if bound >= EXACT_INT_LIMIT:
+        raise ValueError(f"{what} is {bound}, at or above 2**53, where float objectives skip integers")
+
 
 class ProblemAdapter:
     """Per-run adapter a problem exposes to the engine.
@@ -84,7 +93,11 @@ class ProblemAdapter:
 
     def scalarizing_transform(self) -> Callable[[np.ndarray], np.ndarray] | None:
         """Map from raw objective points into scalarization space, or None for
-        the identity; read once per run, after `begin_run`."""
+        the identity; read once per run, after `begin_run`.
+
+        The map must be elementwise and nondecreasing in each objective, as
+        `ObjectiveRanges.normalize` is: local searches rely on a scalarizer
+        that never falls when an objective grows (see `Scalarizer`)."""
         return None
 
     def default_scalarizer(self) -> ScalarizerSpec:

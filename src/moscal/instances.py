@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .engine import EXACT_INT_LIMIT
 from .scp import ScpInstance
 from .tsp import TspInstance
 from .tspwp import TspwpInstance
@@ -48,6 +49,7 @@ DEFAULT_CLUSTERS = 6
 DEFAULT_PROFIT_RANGE = (1, 100)
 GENERATED_OBJECTIVES = 2
 _WRAP = 12  # integers per line in set-covering files
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 
 class ParseError(ValueError):
@@ -67,6 +69,18 @@ def _read_lines(path) -> list[str]:
     return Path(path).read_text().splitlines()
 
 
+def _body_lines(lines: list[str]) -> list[tuple[int, str]]:
+    """The nonblank lines after the header, with their 1-based line numbers."""
+    return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+
+
+def _check_int64(path, lineno: int, value: int) -> int:
+    """`value` when numpy's int64 holds it, else a ParseError."""
+    if _INT64_MIN <= value <= _INT64_MAX:
+        return value
+    raise ParseError(path, lineno, f"integer {value} is outside the 64-bit range")
+
+
 def parse_tsp_objective(path) -> np.ndarray:
     """City coordinates from a TSP objective file, shape (n, 2)."""
     lines = _read_lines(path)
@@ -78,18 +92,22 @@ def parse_tsp_objective(path) -> np.ndarray:
         raise ParseError(path, 1, f"expected a city count, got {lines[0]!r}") from None
     if n < 1:
         raise ParseError(path, 1, f"city count must be positive, got {n}")
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = _body_lines(lines)
     if len(body) != n:
         raise ParseError(path, len(lines), f"expected {n} coordinate lines, found {len(body)}")
     coords = np.empty((n, 2), dtype=float)
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         parts = line.split()
         if len(parts) != 2:
-            raise ParseError(path, i + 2, f"expected 'x y', got {line!r}")
+            raise ParseError(path, lineno, f"expected 'x y', got {line!r}")
         try:
             coords[i] = (float(parts[0]), float(parts[1]))
         except ValueError:
-            raise ParseError(path, i + 2, f"non-numeric coordinate in {line!r}") from None
+            raise ParseError(path, lineno, f"non-numeric coordinate in {line!r}") from None
+    if not np.isfinite(coords).all():
+        i, j = np.argwhere(~np.isfinite(coords))[0]
+        lineno, line = body[i]
+        raise ParseError(path, lineno, f"coordinate {line.split()[j]!r} is not finite")
     return coords
 
 
@@ -105,8 +123,11 @@ def write_tsp_objective(path, coords) -> Path:
 def euclidean_cost_matrix(coords) -> np.ndarray:
     """Nearest-integer Euclidean distance matrix (TSPLIB EUC_2D rounding)."""
     coords = np.asarray(coords, dtype=float)
-    diff = coords[:, None, :] - coords[None, :, :]
-    dist = np.sqrt((diff**2).sum(axis=2))
+    with np.errstate(over="ignore"):  # far-apart cities give inf, rejected below
+        diff = coords[:, None, :] - coords[None, :, :]
+        dist = np.sqrt((diff**2).sum(axis=2))
+    if dist.size and not dist.max() < EXACT_INT_LIMIT:
+        raise ValueError(f"cities lie {dist.max():.6g} apart; distances must stay below 2**53")
     costs = np.floor(dist + 0.5).astype(np.int64)
     np.fill_diagonal(costs, 0)
     return costs
@@ -120,15 +141,18 @@ def parse_profits(path) -> np.ndarray:
         n = int(lines[0])
     except ValueError:
         raise ParseError(path, 1, f"expected a profit count, got {lines[0]!r}") from None
-    body = [ln for ln in lines[1:] if ln.strip()]
+    body = _body_lines(lines)
     if len(body) != n:
         raise ParseError(path, len(lines), f"expected {n} profit lines, found {len(body)}")
     profits = np.empty(n, dtype=np.int64)
-    for i, line in enumerate(body):
+    for i, (lineno, line) in enumerate(body):
         try:
-            profits[i] = int(line)
+            value = int(line)
         except ValueError:
-            raise ParseError(path, i + 2, f"expected one integer, got {line!r}") from None
+            raise ParseError(path, lineno, f"expected one integer, got {line!r}") from None
+        if value < 0:
+            raise ParseError(path, lineno, f"profit {value} is negative")
+        profits[i] = _check_int64(path, lineno, value)
     return profits
 
 
@@ -164,9 +188,10 @@ def parse_scp(path) -> ScpInstance:
         lineno, tok = tokens[cursor]
         cursor += 1
         try:
-            return int(tok)
+            value = int(tok)
         except ValueError:
             raise ParseError(path, lineno, f"expected an integer, got {tok!r}") from None
+        return _check_int64(path, lineno, value)
 
     costs = np.empty((n_obj, n_cols), dtype=np.int64)
     for j in range(n_obj):
@@ -211,11 +236,19 @@ def write_scp(path, instance: ScpInstance) -> Path:
     return out
 
 
+def _load_cost_matrix(path) -> np.ndarray:
+    coords = parse_tsp_objective(path)
+    try:
+        return euclidean_cost_matrix(coords)
+    except ValueError as exc:
+        raise ParseError(path, 1, str(exc)) from None
+
+
 def load_tsp_instance(paths: Sequence) -> TspInstance:
     """A multiobjective TSP instance from one coordinate file per objective."""
     if not paths:
         raise ValueError("need at least one objective file")
-    matrices = tuple(euclidean_cost_matrix(parse_tsp_objective(p)) for p in paths)
+    matrices = tuple(_load_cost_matrix(p) for p in paths)
     sizes = {m.shape[0] for m in matrices}
     if len(sizes) != 1:
         raise ValueError(f"objective files disagree on city count: {sorted(sizes)}")
@@ -223,7 +256,7 @@ def load_tsp_instance(paths: Sequence) -> TspInstance:
 
 
 def load_tspwp_instance(coords_path, profits_path) -> TspwpInstance:
-    costs = euclidean_cost_matrix(parse_tsp_objective(coords_path))
+    costs = _load_cost_matrix(coords_path)
     profits = parse_profits(profits_path)
     if profits.size != costs.shape[0]:
         raise ValueError(

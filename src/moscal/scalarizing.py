@@ -124,6 +124,13 @@ class Scalarizer:
     linear.  `transform`, when given, maps raw objective points into the
     space the function is defined on (e.g. range normalization); the
     reference point is expressed in that transformed space.
+
+    The transform must be elementwise and nondecreasing in each objective,
+    as `ObjectiveRanges.normalize` is.  Then the value is nondecreasing in
+    each objective, in floats too: every step (a correctly rounded difference,
+    a product with a weight >= 0, the left-to-right sum, `np.maximum`, the
+    mix with shares >= 0) keeps the order of its inputs.  `tspwp_local_search`
+    relies on this.
     """
 
     def __init__(

@@ -20,7 +20,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ProblemAdapter
+from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -68,6 +68,8 @@ class ScpInstance:
             raise ValueError("column costs must be strictly positive")
         if not coverage.any(axis=1).all():
             raise ValueError("every row must be covered by at least one column")
+        for j, row in enumerate(costs.tolist()):
+            check_exact_integers(sum(row), f"the sum of objective {j + 1}'s column costs")
         costs.setflags(write=False)
         coverage.setflags(write=False)
         object.__setattr__(self, "costs", costs)

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ProblemAdapter
+from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -53,6 +53,7 @@ class TspInstance:
                 raise ValueError("cost matrices must be symmetric")
             if np.diagonal(m).any():
                 raise ValueError("self-distances must be zero")
+            check_exact_integers(n * int(m.max()), "n x max cost")
         object.__setattr__(self, "costs", mats)
 
     @property

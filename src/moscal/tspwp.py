@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ProblemAdapter
+from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
 from .tsp import _common_fragments, _edge_set, _exchange_deltas, _invalid_pairs
 
@@ -36,6 +36,9 @@ _BOUNDARY_WEIGHTS = ((0.999, 0.001), (0.001, 0.999))
 
 # the scalarizer of range estimation and of the adapter's runs
 _MIXED = ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
+
+# the length change given to 2-opt pairs that are no move: above every real one
+_NO_MOVE = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,8 @@ class TspwpInstance:
             raise ValueError("cost matrix must be symmetric")
         if np.diagonal(c).any():
             raise ValueError("self-distances must be zero")
+        check_exact_integers(n * int(c.max()), "n x max cost")
+        check_exact_integers(sum(p.tolist()), "the total profit")
         object.__setattr__(self, "costs", c)
         object.__setattr__(self, "profits", p)
 
@@ -150,17 +155,35 @@ def tspwp_local_search(
     of te once and reads every move's integer length change from them: the
     columns of te for 2-opt, the columns of the absent cities for insertion
     and exchange.  Each family writes its (length, -profit) points into the
-    next row block of one (N, 2) array, in the order edge (m, m), insert
-    (k,), swap (m, k), delete (m,) for m present and k absent cities, and
-    one `Scalarizer.value` call scores them all.  The move is the
-    global argmin, with the 2-opt pairs that are no move set to inf, so ties
-    go to the first of edge, insert, swap, delete and, within a family, to
-    the lowest index.
+    next row block of one (N, 2) array, in the order edge, insert (k,), swap
+    (m, k), delete (m,) for m present and k absent cities, and one
+    `Scalarizer.value` call scores them all.  The move is the global argmin,
+    so ties go to the first of edge, insert, swap, delete and, within a
+    family, to the lowest index.
+
+    Every 2-opt pair keeps the sub-tour's profit, and the scalarizer is
+    nondecreasing in length (see `Scalarizer`), so the edge block holds two
+    points only: the pair e with the least integer length change dmin (the
+    first in row-major order, after the pairs that are no move are set to
+    `_NO_MOVE`), and a probe at dmin + 1.  No pair's change lies between the
+    two, so when the probe scores higher, e is the family's only best pair
+    and the probe is never picked.  When it does not, the scalarizer is flat
+    in length at dmin (a zero length weight, or a chebycheff term that the
+    profit dominates); the whole (m, m) block is then scored, as one more
+    `value` call, and its first minimum replaces e.
+
+    Every row of the array is the exact integer point of its move, with the
+    profit -(new total) signed as `tspwp_evaluate` signs it (-0.0 when
+    zero), so `value` of the row is the value of the sub-tour the move
+    makes, bit for bit.  Only
+    the start is scored with `scalarizer(point)`; each later step carries
+    the value of the move that led to it.
     """
     t = _check_subtour(instance, subtour).copy()
     costs, profits = instance.costs, instance.profits
     present = np.zeros(instance.n, dtype=bool)
     present[t] = True
+    value = None
     while True:
         m = t.size
         te = np.concatenate((t[-1:], t, t[:1]))
@@ -169,26 +192,31 @@ def tspwp_local_search(
         edges = costs[te[:-1], te[1:]]
         gained = profits[t]
         through = edges[:-1] + edges[1:]  # both edges at each position
-        point = np.array((float(edges[1:].sum()), -float(gained.sum())))
-        value = scalarizer(point)
+        length, total = int(edges[1:].sum()), int(gained.sum())
+        point = (float(length), -float(total))
+        if value is None:
+            value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)
         absent = np.flatnonzero(~present)
         k = absent.size
         rows = costs[te]
-        # the row blocks of the families: edge [0, ins), insert [ins, swp),
-        # swap [swp, dele), delete [dele, end); with n >= 4 cities some
-        # family always has a move
-        ins = m * m if m >= 4 else 0
+        # the row blocks of the families: edge [0, ins) (its best pair, then
+        # the probe), insert [ins, swp), swap [swp, dele), delete [dele, end);
+        # with n >= 4 cities some family always has a move
+        ins = 2 if m >= 4 else 0
         swp = ins + k
         dele = swp + m * k
         z = np.empty((dele + (m if m >= 2 else 0), 2))
 
         if m >= 4:
             # 2-opt inside the sub-tour (length changes only)
-            ze = z[:ins].reshape(m, m, 2)
-            np.add(point[0], _exchange_deltas(rows[1:, te[1:]]), out=ze[..., 0])
-            ze[..., 1] = point[1]
+            deltas = _exchange_deltas(rows[1:, te[1:]])
+            deltas[_invalid_pairs(m)] = _NO_MOVE
+            edge = int(deltas.argmin())
+            dmin = int(deltas.flat[edge])
+            z[0] = length + dmin, point[1]
+            z[1] = length + dmin + 1, point[1]
 
         if k:
             to_absent = rows[:, absent]
@@ -213,21 +241,31 @@ def tspwp_local_search(
                 d_len_x = to_absent[:-2] + to_absent[2:]
                 d_len_x -= through[:, None]
                 np.add(point[0], d_len_x, out=zs[..., 0])
-            np.add(point[1], gained[:, None] - absent_profits[None, :], out=zs[..., 1])
+            # -0.0 - x is -float(x), -0.0 for a zero total as in tspwp_evaluate;
+            # -total + x would give +0.0
+            np.subtract(-0.0, (total - gained)[:, None] + absent_profits, out=zs[..., 1])
 
         if m >= 2:
             # deletion of a present city
             np.add(point[0], costs[te[:-2], te[2:]] - through, out=z[dele:, 0])
-            np.add(point[1], gained, out=z[dele:, 1])
+            np.subtract(-0.0, total - gained, out=z[dele:, 1])
 
         vals = scalarizer.value(z)
-        if m >= 4:
-            vals[:ins].reshape(m, m)[_invalid_pairs(m)] = np.inf
+        if m >= 4 and not vals[1] > vals[0]:
+            # flat in length at dmin: the first best pair may lie above it
+            block = np.empty((m * m, 2))
+            np.add(point[0], deltas.ravel(), out=block[:, 0])
+            block[:, 1] = point[1]
+            block_vals = scalarizer.value(block)
+            block_vals[_invalid_pairs(m).ravel()] = np.inf
+            edge = int(block_vals.argmin())
+            vals[:2] = block_vals[edge], np.inf
         best = int(vals.argmin())
         if not vals[best] < value - IMPROVEMENT_EPS:
             break
+        value = float(vals[best])
         if best < ins:
-            i, j = divmod(best, m)
+            i, j = divmod(edge, m)
             t[i + 1 : j + 1] = t[i + 1 : j + 1][::-1]
         elif best < swp:
             v = best - ins

@@ -53,6 +53,52 @@ def test_tsp_objective_parse_errors(tmp_path):
         parse_tsp_objective(bad_header)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e400"])
+def test_tsp_objective_rejects_non_finite_coordinates(tmp_path, value):
+    # the third nonblank line sits on line 5, after a blank line
+    path = tmp_path / "coords.tsp"
+    path.write_text(f"4\n0 0\n1 1\n\n2 {value}\n3 3\n")
+    with pytest.raises(ParseError, match=f"coords.tsp:5: coordinate '{value}' is not finite"):
+        parse_tsp_objective(path)
+    with pytest.raises(ParseError, match="coords.tsp:5"):
+        load_tsp_instance([path])
+
+
+def test_cost_matrix_rejects_cities_too_far_apart(tmp_path):
+    # finite coordinates whose distances overflow or pass 2**53
+    for far in ("1e200", "1e16"):
+        path = write_tsp_objective(tmp_path / "far.tsp", [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0), (float(far), 3.0)])
+        with pytest.raises(ParseError, match="far.tsp:1: cities lie .* apart; distances must stay below 2"):
+            load_tsp_instance([path])
+        with pytest.raises(ValueError, match="cities lie"):
+            euclidean_cost_matrix(parse_tsp_objective(path))
+
+
+def test_integers_beyond_int64_name_file_and_line(tmp_path):
+    huge = "100000000000000000000"
+    profits = tmp_path / "huge.profits"
+    profits.write_text(f"3\n1\n\n{huge}\n2\n")
+    with pytest.raises(ParseError, match=f"huge.profits:4: integer {huge} is outside the 64-bit range"):
+        parse_profits(profits)
+    cover = tmp_path / "huge.scp"
+    cover.write_text(f"1 2 2\n3 5\n2 {huge}\n1 1\n")
+    with pytest.raises(ParseError, match=f"huge.scp:3: integer {huge} is outside the 64-bit range"):
+        parse_scp(cover)
+    edge = tmp_path / "edge.profits"
+    edge.write_text(f"2\n{2**63 - 1}\n0\n")
+    assert parse_profits(edge).tolist() == [2**63 - 1, 0]
+
+
+def test_scp_cost_sums_at_2_pow_53_are_rejected(tmp_path):
+    # both columns are needed, so objective 1 is 2**53 + 1: a float holds 2**53
+    cover = tmp_path / "big.scp"
+    cover.write_text(f"2 2 2\n{2**53} 1\n1 1\n1 1\n1 2\n")
+    with pytest.raises(ParseError, match="big.scp:1: the sum of objective 1's column costs is 9007199254740993"):
+        parse_scp(cover)
+    cover.write_text(f"2 2 2\n{2**53 - 2} 1\n1 1\n1 1\n1 2\n")
+    assert parse_scp(cover).costs[0].tolist() == [2**53 - 2, 1]
+
+
 def test_profits_round_trip_and_errors(tmp_path):
     rng = np.random.default_rng(2)
     profits = rng.integers(1, 101, size=25)
@@ -62,6 +108,10 @@ def test_profits_round_trip_and_errors(tmp_path):
     bad.write_text("2\n5\nx\n")
     with pytest.raises(ParseError, match="bad.profits:3"):
         parse_profits(bad)
+    negative = tmp_path / "negative.profits"
+    negative.write_text("2\n5\n-2\n")
+    with pytest.raises(ParseError, match="negative.profits:3: profit -2 is negative"):
+        parse_profits(negative)
 
 
 def test_scp_round_trip(tmp_path):

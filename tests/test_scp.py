@@ -84,6 +84,13 @@ def test_instance_validation():
         ScpInstance(costs[:, :1], coverage)  # column count mismatch
 
 
+def test_instance_rejects_cost_sums_that_may_reach_2_pow_53():
+    coverage = np.array([[True, False], [False, True]])
+    with pytest.raises(ValueError, match="sum of objective 2's column costs is 9007199254740992"):
+        ScpInstance(np.array([[3, 4], [2**52, 2**52]]), coverage)
+    assert ScpInstance(np.array([[3, 4], [2**52, 2**52 - 1]]), coverage).n_objectives == 2
+
+
 def test_evaluate_examples():
     costs = np.array([[3, 2, 9], [7, 1, 4]])
     coverage = np.array([[True, True, False], [True, False, True]])

@@ -60,6 +60,16 @@ def test_instance_validation():
         TspInstance((neg,))
 
 
+def test_instance_rejects_tour_lengths_that_may_reach_2_pow_53():
+    # a tour has n = 4 edges, so 4 x max cost bounds its length
+    costs = np.full((4, 4), 2**51)
+    np.fill_diagonal(costs, 0)
+    with pytest.raises(ValueError, match="n x max cost is 9007199254740992, at or above 2\\*\\*53"):
+        TspInstance((np.ones((4, 4), dtype=np.int64) - np.eye(4, dtype=np.int64), costs))
+    costs[costs > 0] -= 1
+    assert TspInstance((costs,)).n == 4
+
+
 def test_evaluate_cyclic_edge_sum():
     c1 = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
     c2 = np.array([[0, 7, 1, 2], [7, 0, 3, 1], [1, 3, 0, 5], [2, 1, 5, 0]])

@@ -65,6 +65,16 @@ def test_instance_validation():
         TspwpInstance(asym, p)
 
 
+def test_instance_rejects_objective_sums_that_may_reach_2_pow_53():
+    c = np.array([[0, 2, 3, 4], [2, 0, 5, 6], [3, 5, 0, 7], [4, 6, 7, 0]])
+    with pytest.raises(ValueError, match="the total profit is 9007199254740992"):
+        TspwpInstance(c, np.array([2**51, 2**51, 2**51, 2**51]))
+    assert TspwpInstance(c, np.array([2**51, 2**51, 2**51, 2**51 - 1])).n == 4
+    far = np.full((4, 4), 2**51) - np.diag(np.full(4, 2**51))
+    with pytest.raises(ValueError, match="n x max cost is 9007199254740992"):
+        TspwpInstance(far, np.ones(4, dtype=np.int64))
+
+
 def test_evaluate_subtours():
     c = np.array([[0, 2, 3, 4], [2, 0, 5, 6], [3, 5, 0, 7], [4, 6, 7, 0]])
     p = np.array([10, 20, 30, 40])
@@ -330,13 +340,15 @@ def frozen_value(weights, spec, reference, ranges, z):
     return spec.w_linear * fixed_order_dot(z, w) + spec.w_cheby * cheby
 
 
-def frozen_local_search(instance, subtour, weights, spec, reference, ranges, value_trace, ties):
+def frozen_local_search(instance, subtour, weights, spec, reference, ranges, value_trace, ties, slopes):
     """Oracle: the four-family descent as first written, re-deriving every
     step from scratch (setdiff1d, np.roll, np.stack, tspwp_evaluate).
 
     `ties` counts the steps where the minimum of a family is attained more
     than once ("edge", "insert", "swap", "delete") and where the best move
-    value is shared by more than one family ("between")."""
+    value is shared by more than one family ("between").  `slopes` counts
+    the 2-opt steps where the value at the least length change dmin equals
+    the value at dmin + 1 ("flat") and where it is below it ("rising")."""
 
     def value_of(cand):
         return frozen_value(weights, spec, reference, ranges, cand)
@@ -371,6 +383,9 @@ def frozen_local_search(instance, subtour, weights, spec, reference, ranges, val
             ok[0, m - 1] = False
             cand = np.stack([point[0] + d_len, np.full((m, m), point[1])], axis=-1)
             vals = value_of(cand)
+            dmin = d_len[ok].min()
+            at_min, above = value_of([[point[0] + dmin, point[1]], [point[0] + dmin + 1, point[1]]])
+            slopes["flat" if at_min == above else "rising"] += 1
             vals[~ok] = np.inf
             flat = int(np.argmin(family_min("edge", vals)))
             bi, bk = divmod(flat, m)
@@ -443,9 +458,11 @@ def tied_instance(n, rng):
 
 
 def test_local_search_matches_frozen_oracle():
+    # reps 4 and 5 take the lattice extremes (1, 0) and (0, 1)
     kinds = ("linear", "chebycheff", "mixed")
     ties = dict.fromkeys(("edge", "insert", "swap", "delete", "between"), 0)
-    cases = itertools.product(range(4), (False, True), kinds, (False, True), (1, 2, 3, 4, None))
+    slopes = dict.fromkeys(("flat", "rising"), 0)
+    cases = itertools.product(range(6), (False, True), kinds, (False, True), (1, 2, 3, 4, None))
     for case, (rep, tied, kind, normalized, size) in enumerate(cases):
         rng = np.random.default_rng(case)
         n = int(rng.integers(4, 41))
@@ -454,7 +471,10 @@ def test_local_search_matches_frozen_oracle():
         if normalized:
             total = float(inst.profits.sum())
             ranges = ObjectiveRanges((0.0, -total - 1.0), (float(inst.costs.max()) * n + 1.0, 1.0))
-        weights = (0.5, 0.5) if tied and rep % 2 else tuple(rng.dirichlet(np.ones(2)))
+        if rep >= 4:
+            weights = ((1.0, 0.0), (0.0, 1.0))[rep - 4]
+        else:
+            weights = (0.5, 0.5) if tied and rep % 2 else tuple(rng.dirichlet(np.ones(2)))
         ref = None
         if kind != "linear":
             ref_point = np.array(tspwp_evaluate(inst, random_subtour(inst, rng)))
@@ -464,12 +484,40 @@ def test_local_search_matches_frozen_oracle():
         s = Scalarizer(weights, spec, ref, transform=ranges.normalize if ranges else None)
         start = rng.choice(n, size=n if size is None else size, replace=False)
         expected_trace, trace = [], []
-        expected = frozen_local_search(inst, start, weights, spec, ref, ranges, expected_trace, ties)
+        expected = frozen_local_search(inst, start, weights, spec, ref, ranges, expected_trace, ties, slopes)
         out = tspwp_local_search(inst, start, s, value_trace=trace)
         assert out.tolist() == expected.tolist(), case
-        assert trace == expected_trace, case
-    assert case + 1 >= 200
+        assert np.array(trace).tobytes() == np.array(expected_trace).tobytes(), case
+    assert case + 1 >= 360
     assert all(count > 0 for count in ties.values()), ties
+    assert all(count > 0 for count in slopes.values()), slopes
+
+
+def test_local_search_trace_keeps_the_sign_of_a_zero_value():
+    # Mostly zero profits and a chebycheff reference of zero profit: a sub-tour
+    # that collects nothing has profit -0.0 (as tspwp_evaluate writes it), and
+    # its value can be -0.0 where a profit of +0.0 would give +0.0.  The
+    # trace must keep the sign the oracle gives.
+    ties = dict.fromkeys(("edge", "insert", "swap", "delete", "between"), 0)
+    slopes = dict.fromkeys(("flat", "rising"), 0)
+    negative_zeros = 0
+    for case in range(200):
+        rng = np.random.default_rng(case)
+        n = int(rng.integers(4, 12))
+        upper = np.triu(rng.integers(1, 20, size=(n, n)), 1)
+        profits = (rng.random(n) < 0.3) * rng.integers(1, 5, size=n)
+        inst = TspwpInstance(upper + upper.T, profits)
+        weights = tuple(rng.dirichlet(np.ones(2)))
+        ref = (float(rng.integers(0, 60)), 0.0)
+        spec = (ScalarizerSpec("chebycheff"), ScalarizerSpec("mixed", w_linear=0.0))[case % 2]
+        start = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        expected_trace, trace = [], []
+        expected = frozen_local_search(inst, start, weights, spec, ref, None, expected_trace, ties, slopes)
+        out = tspwp_local_search(inst, start, Scalarizer(weights, spec, ref), value_trace=trace)
+        assert out.tolist() == expected.tolist(), case
+        assert np.array(trace).tobytes() == np.array(expected_trace).tobytes(), case
+        negative_zeros += sum(v == 0.0 and math.copysign(1.0, v) < 0 for v in trace)
+    assert negative_zeros > 0
 
 
 def test_value_columns_bit_matches_value_on_search_shapes():
