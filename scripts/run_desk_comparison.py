@@ -21,6 +21,9 @@ import sys
 import time
 from pathlib import Path
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # runs from a bare checkout, without installing moscal
+
 from moscal.experiment import ExperimentPlan, format_table, run_experiment
 from moscal.instances import generate_instance
 
@@ -28,7 +31,6 @@ from moscal.instances import generate_instance
 # configuration
 # ---------------------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / "results" / "desk_comparison"
 
 N_CITIES = 100

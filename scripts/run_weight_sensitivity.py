@@ -25,6 +25,9 @@ from pathlib import Path
 
 import numpy as np
 
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))  # runs from a bare checkout, without installing moscal
+
 from moscal.experiment import ExperimentPlan, run_experiment
 from moscal.instances import generate_instance
 
@@ -32,7 +35,6 @@ from moscal.instances import generate_instance
 # configuration
 # ---------------------------------------------------------------------------
 
-ROOT = Path(__file__).resolve().parent.parent
 OUT_DIR = ROOT / "results" / "weight_sensitivity"
 
 N_ROWS = 40

@@ -196,7 +196,13 @@ def parse_scp(path) -> ScpInstance:
     costs = np.empty((n_obj, n_cols), dtype=np.int64)
     for j in range(n_obj):
         for i in range(n_cols):
-            costs[j, i] = take()
+            cost = take()
+            if cost < 1:
+                raise ParseError(
+                    path, tokens[cursor - 1][0],
+                    f"objective {j + 1} gives column {i + 1} cost {cost}; costs must be strictly positive",
+                )
+            costs[j, i] = cost
     coverage = np.zeros((n_rows, n_cols), dtype=bool)
     for row in range(n_rows):
         k = take()
@@ -249,9 +255,9 @@ def load_tsp_instance(paths: Sequence) -> TspInstance:
     if not paths:
         raise ValueError("need at least one objective file")
     matrices = tuple(_load_cost_matrix(p) for p in paths)
-    sizes = {m.shape[0] for m in matrices}
-    if len(sizes) != 1:
-        raise ValueError(f"objective files disagree on city count: {sorted(sizes)}")
+    if len({m.shape[0] for m in matrices}) != 1:
+        counts = ", ".join(f"{p} has {m.shape[0]}" for p, m in zip(paths, matrices))
+        raise ValueError(f"objective files disagree on city count: {counts}")
     return TspInstance(matrices)
 
 
@@ -260,7 +266,8 @@ def load_tspwp_instance(coords_path, profits_path) -> TspwpInstance:
     profits = parse_profits(profits_path)
     if profits.size != costs.shape[0]:
         raise ValueError(
-            f"profit count {profits.size} does not match city count {costs.shape[0]}"
+            f"{profits_path} has {profits.size} profits, which does not match "
+            f"the {costs.shape[0]} cities of {coords_path}"
         )
     return TspwpInstance(costs, profits)
 

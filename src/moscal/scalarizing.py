@@ -130,7 +130,7 @@ class Scalarizer:
     each objective, in floats too: every step (a correctly rounded difference,
     a product with a weight >= 0, the left-to-right sum, `np.maximum`, the
     mix with shares >= 0) keeps the order of its inputs.  `tspwp_local_search`
-    relies on this.
+    and `scp_local_search` rely on this.
     """
 
     def __init__(

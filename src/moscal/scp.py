@@ -10,10 +10,21 @@ the shape of the array, so a row of a batch equals the point scored alone.
 Recombination keeps the parents' common columns, adds each
 single-parent column with probability 1/2, then covers any remaining rows
 with uniformly random covering columns.
+
+The search skips work that cannot change its choice.  Column costs are
+strictly positive and the `Scalarizer` is nondecreasing in each objective
+in floats, so each insertion of a repair scores at least the value before
+it, and every neighbor of a removal scores at least the removal itself.  A
+removal whose own value is not below the walk's bound (the best value so
+far minus `IMPROVEMENT_EPS`) is skipped, and a repair stops at the first
+insertion that reaches the bound.  The walk would reject both neighbors, so
+covers and value traces are the same as with every neighbor repaired in
+full.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -131,6 +142,7 @@ def _repair(
     value: float,
     uncovered: np.ndarray,
     allowed: np.ndarray,
+    bound: float = math.inf,
 ) -> tuple[list[int], float]:
     """Greedy insertions that cover the `uncovered` rows.
 
@@ -142,6 +154,13 @@ def _repair(
     per-column count of newly covered rows is computed once and then reduced
     by the rows each insertion gains.  Returns only once the uncovered-row
     count reaches zero, so the extended selection is always a cover.
+
+    The one exception: after the first insertion whose value is not below
+    `bound`, returns no insertions and that value, with `point` advanced
+    only that far.  Costs are positive and the scalarizer is nondecreasing
+    in each objective, so the later insertions could only raise the value:
+    the finished repair would not be below `bound` either.  The default
+    bound never stops a repair.
     """
     picks: list[int] = []
     remaining = int(np.count_nonzero(uncovered))
@@ -159,6 +178,8 @@ def _repair(
         picks.append(pick)
         point += column_costs[pick]
         value = vals[best]
+        if value >= bound:
+            return [], float(value)
         remaining -= int(newly[pick])
         if remaining <= 0:
             return picks, float(value)
@@ -215,6 +236,15 @@ def scp_local_search(
     the point it picks.  One that uncovers more rows runs the greedy repair,
     whose last insertion gives the neighbor's value.  Costs are integers, so
     every float point equals `scp_evaluate` of its cover exactly.
+
+    Each removal is held to the bound `best_value - IMPROVEMENT_EPS` of the
+    walk at that point.  Its neighbor is the removal's point plus positive
+    costs, and the scalarizer is nondecreasing in each objective in floats,
+    so the neighbor scores at least the removal's value.  A removal whose
+    value is not below the bound is therefore skipped without a repair, and
+    a multi-row repair stops once it reaches the bound (see `_repair`).  The
+    walk rejects exactly these neighbors, so every decision is the same as
+    with all neighbors repaired in full.
     """
     coverage, costs, column_costs = instance.coverage, instance.costs, instance._column_costs
     current = frozenset(_as_columns(instance, solution).tolist())
@@ -239,6 +269,9 @@ def scp_local_search(
         best_value = value
         best: tuple[int, list[int]] | None = None
         for i, col in enumerate(cols.tolist()):
+            bound = best_value - IMPROVEMENT_EPS
+            if not removal_values[i] < bound:
+                continue
             if n_lonely[i] == 0:
                 picks, neighbor_value = [], removal_values[i]
             elif n_lonely[i] == 1:
@@ -253,13 +286,13 @@ def scp_local_search(
                 allowed[col] = False
                 try:
                     picks, neighbor_value = _repair(
-                        instance, scalarizer, points[i], removal_values[i], lonely[:, i].copy(), allowed
+                        instance, scalarizer, points[i], removal_values[i], lonely[:, i].copy(), allowed, bound
                     )
                 except RepairError:
                     continue
                 finally:
                     allowed[col] = True
-            if neighbor_value < best_value - IMPROVEMENT_EPS:
+            if neighbor_value < bound:
                 best_value = float(neighbor_value)
                 best = (col, picks)
         if best is None:

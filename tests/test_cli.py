@@ -326,3 +326,16 @@ def test_python_dash_m_moscal_runs_in_a_bare_checkout(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     assert read_points_csv(tmp_path / "cov.csv")
+
+
+@pytest.mark.parametrize("script", ["run_desk_comparison.py", "run_weight_sensitivity.py"])
+def test_experiment_script_runs_in_a_bare_checkout(script, tmp_path):
+    # the usage line `python3 scripts/<script> --quick`, with no PYTHONPATH
+    root = Path(__file__).resolve().parents[1]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    result = subprocess.run(
+        [sys.executable, str(root / "scripts" / script), "--help"],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "--quick" in result.stdout

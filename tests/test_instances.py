@@ -154,6 +154,10 @@ def test_scp_parse_errors(tmp_path):
     wrapped.write_text("1 3 2\n3 5 7\n2 4 6\n3 2\n3\n2\n")
     with pytest.raises(ParseError, match="wrapped.scp:6: row 1 lists column 2 twice"):
         parse_scp(wrapped)
+    zero = tmp_path / "zero.scp"
+    zero.write_text("2 2 2\n3 5\n2 0\n1 1\n1 2\n")
+    with pytest.raises(ParseError, match="zero.scp:3: objective 2 gives column 2 cost 0; costs must be strictly positive"):
+        parse_scp(zero)
 
 
 def test_load_tsp_instance(tmp_path):
@@ -163,7 +167,7 @@ def test_load_tsp_instance(tmp_path):
     inst = load_tsp_instance([p1, p2])
     assert inst.n == 12 and inst.n_objectives == 2
     p3 = write_tsp_objective(tmp_path / "o3.tsp", rng.uniform(0, 100, (9, 2)))
-    with pytest.raises(ValueError, match="disagree"):
+    with pytest.raises(ValueError, match=r"disagree on city count: \S*o1\.tsp has 12, \S*o3\.tsp has 9$"):
         load_tsp_instance([p1, p3])
 
 
@@ -174,7 +178,7 @@ def test_load_tspwp_instance(tmp_path):
     inst = load_tspwp_instance(cp, pp)
     assert inst.n == 10
     short = write_profits(tmp_path / "s.profits", rng.integers(1, 50, size=9))
-    with pytest.raises(ValueError, match="does not match"):
+    with pytest.raises(ValueError, match=r"s\.profits has 9 profits, which does not match the 10 cities of \S*c\.tsp$"):
         load_tspwp_instance(cp, short)
 
 

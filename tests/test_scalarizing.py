@@ -15,6 +15,7 @@ from moscal.scalarizing import (
     granularity_for_count,
     uniform_weight_count,
 )
+from moscal.tspwp import ObjectiveRanges
 
 
 def test_weight_vector_invariants():
@@ -286,3 +287,50 @@ def test_chebycheff_dominance_monotone(z, seed):
     better = tuple(v - rng.uniform(0, 10) for v in z)
     assert chebycheff(better, lam, ref) <= chebycheff(z, lam, ref) + 1e-12
     assert linear(better, lam) <= linear(z, lam) + 1e-12
+
+
+@st.composite
+def raised_points(draw):
+    j = draw(st.integers(min_value=2, max_value=3))
+    z = draw(st.lists(st.integers(min_value=-2**50, max_value=2**50), min_size=j, max_size=j))
+    axis = draw(st.integers(min_value=0, max_value=j - 1))
+    step = draw(st.one_of(st.integers(min_value=0, max_value=3), st.integers(min_value=0, max_value=2**50)))
+    return z, axis, step
+
+
+@given(raised_points(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_value_never_falls_when_a_coordinate_rises(raised, seed):
+    # local searches skip neighbours on this property, so it must hold in
+    # floats, compared exactly: raising one integer coordinate by an integer
+    # >= 0 never lowers `value` or `__call__`, for every kind, mix shares
+    # of 0 included, with and without range normalization
+    z, axis, step = raised
+    rng = np.random.default_rng(seed)
+    j = len(z)
+    lam = rng.dirichlet(np.ones(j))
+    if seed % 3 == 0:
+        lam[seed % j] = 0.0
+        lam /= lam.sum()
+    ref = tuple(float(v) for v in rng.integers(-2**20, 2**20, size=j))
+    lows = rng.uniform(-2**30, 0, size=j)
+    ranges = ObjectiveRanges(tuple(lows.tolist()), tuple((lows + rng.uniform(1e-3, 2**31, size=j)).tolist()))
+    share = float(rng.random())
+    specs = (
+        ScalarizerSpec("linear"),
+        ScalarizerSpec("chebycheff"),
+        ScalarizerSpec("mixed"),
+        ScalarizerSpec("mixed", w_linear=share),
+        ScalarizerSpec("mixed", w_linear=0.0),
+        ScalarizerSpec("mixed", w_linear=1.0),
+    )
+    low = np.array(z, dtype=float)
+    high = low.copy()
+    high[axis] += step
+    for spec in specs:
+        for transform in (None, ranges.normalize):
+            s = Scalarizer(tuple(lam), spec, ref, transform=transform)
+            assert s.value(low) <= s.value(high), (spec, transform)
+            assert s(low) <= s(high), (spec, transform)
+            both = s.value(np.stack([low, high]))
+            assert both[0] <= both[1], (spec, transform)

@@ -237,12 +237,16 @@ def test_local_search_results_are_oracle_local_optima():
         assert HALF(scp_evaluate(inst, out)) <= HALF(scp_evaluate(inst, start))
 
 
-def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ties=None):
+def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, counts=None):
     """Oracle: removal-and-repair search as first written, every neighbour
-    rebuilt from scratch by a full repair and re-evaluated.  `ties` counts
-    exact ties in the repair's ratio argmin and in the best neighbour value,
-    and near ties: a later neighbour below the best so far by at most
-    IMPROVEMENT_EPS, which the column-order walk does not take."""
+    rebuilt from scratch by a full repair and re-evaluated.  `counts` counts
+    exact ties in the repair's ratio argmin and in the best neighbour value;
+    near ties: a later neighbour below the best so far by at most
+    IMPROVEMENT_EPS, which the column-order walk does not take; removals
+    whose own value is not below the walk's bound (the best so far minus
+    IMPROVEMENT_EPS), which the search skips; and repairs of the other
+    removals that reach the bound with rows still uncovered, which the
+    search stops there."""
 
     def as_columns(solution):
         cols = np.asarray(sorted(solution), dtype=np.int64)
@@ -263,7 +267,7 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ti
             raise ValueError("infeasible cover: some rows are uncovered")
         return tuple(float(v) for v in instance.costs[:, cols].sum(axis=1))
 
-    def repair(partial, excluded):
+    def repair(partial, excluded, bound=None):
         cols = as_columns(partial)
         selected = set(cols.tolist())
         covered = covered_rows(cols)
@@ -278,12 +282,15 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ti
             base = scalarizer.value(point)
             increase = scalarizer.value(point[None, :] + instance.costs[:, candidates].T) - base
             ratios = increase / newly[candidates]
-            if ties is not None:
-                ties["ratio"] += int((ratios == ratios.min()).sum() > 1)
+            if counts is not None:
+                counts["ratio"] += int((ratios == ratios.min()).sum() > 1)
             pick = int(candidates[np.argmin(ratios)])
             selected.add(pick)
             covered |= instance.coverage[:, pick]
             point += instance.costs[:, pick]
+            if bound is not None and not covered.all() and scalarizer.value(point) >= bound:
+                counts["stopped"] += 1
+                bound = None
         return frozenset(selected)
 
     current = frozenset(as_columns(solution).tolist())
@@ -294,15 +301,22 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, ti
         best_value = value
         best = None
         for col in sorted(current):
+            bound = None
+            if counts is not None:
+                bound = best_value - IMPROVEMENT_EPS
+                removal = instance.costs[:, as_columns(current - {col})].sum(axis=1).astype(float)
+                if not scalarizer.value(removal) < bound:
+                    counts["skipped"] += 1
+                    bound = None
             try:
-                neighbor = repair(current - {col}, col)
+                neighbor = repair(current - {col}, col, bound)
             except RepairError:
                 continue
             neighbor_value = scalarizer(evaluate(neighbor))
-            if ties is not None and best is not None and neighbor_value == best_value:
-                ties["value"] += 1
-            if ties is not None and best is not None and best_value - IMPROVEMENT_EPS <= neighbor_value < best_value:
-                ties["near"] += 1
+            if counts is not None and best is not None and neighbor_value == best_value:
+                counts["value"] += 1
+            if counts is not None and best is not None and best_value - IMPROVEMENT_EPS <= neighbor_value < best_value:
+                counts["near"] += 1
             if neighbor_value < best_value - IMPROVEMENT_EPS:
                 best_value = neighbor_value
                 best = neighbor
@@ -324,16 +338,21 @@ def oracle_scalarizer(kind, n_obj, rng):
     return Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind), ref)
 
 
-def assert_matches_frozen_search(inst, start, scalarizer, ties=None):
+def oracle_counts():
+    return dict.fromkeys(("ratio", "value", "near", "skipped", "stopped"), 0)
+
+
+def assert_matches_frozen_search(inst, start, scalarizer, counts=None):
     expected_trace, trace = [], []
-    expected = frozen_scp_local_search(inst, start, scalarizer, expected_trace, ties)
+    expected = frozen_scp_local_search(inst, start, scalarizer, expected_trace, counts)
     assert scp_local_search(inst, start, scalarizer, value_trace=trace) == expected
-    assert trace == expected_trace
+    assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
 
 
 def test_local_search_matches_frozen_oracle():
     rng = np.random.default_rng(2004)
     kinds = ("linear", "chebycheff", "mixed")
+    counts = oracle_counts()
     for case in range(60):
         n_obj = 2 + case % 2
         n_rows, n_cols = int(rng.integers(5, 31)), int(rng.integers(8, 61))
@@ -341,7 +360,8 @@ def test_local_search_matches_frozen_oracle():
         coverage[np.arange(n_rows), rng.integers(n_cols, size=n_rows)] = True
         inst = ScpInstance(rng.integers(1, 40, size=(n_obj, n_cols)), coverage)
         s = oracle_scalarizer(kinds[(case // 2) % 3], n_obj, rng)
-        assert_matches_frozen_search(inst, padded_cover(inst, rng), s)
+        assert_matches_frozen_search(inst, padded_cover(inst, rng), s, counts)
+    assert counts["skipped"] > 0 and counts["stopped"] > 0, counts
 
 
 def test_local_search_matches_frozen_oracle_on_ties():
@@ -351,7 +371,7 @@ def test_local_search_matches_frozen_oracle_on_ties():
     # for a cheap one improve, so those ties decide the result
     rng = np.random.default_rng(131)
     kinds = ("linear", "chebycheff", "mixed")
-    ties = {"ratio": 0, "value": 0, "near": 0}
+    ties = oracle_counts()
     for case in range(40):
         n_obj = 2 + case % 2
         n_rows, n_base = int(rng.integers(6, 21)), int(rng.integers(6, 21))
@@ -388,6 +408,44 @@ def test_local_search_matches_frozen_oracle_on_ties():
         s = Scalarizer(tuple(units / h), ScalarizerSpec(kind), ref)
         assert_matches_frozen_search(inst, start, s, ties)
     assert ties["ratio"] > 0 and ties["value"] > 0 and ties["near"] > 0, ties
+
+
+def test_local_search_matches_frozen_oracle_near_the_bound():
+    # weights (1 - 3e-9, 3e-9) and twin columns of equal first cost whose
+    # second costs differ by 1 to 3: the twins' neighbours differ by a few
+    # IMPROVEMENT_EPS, so a bound off by a few of them skips or stops a
+    # neighbour that the walk takes
+    weights = {2: (1 - 3e-9, 3e-9), 3: (1 - 3e-9, 2e-9, 1e-9)}
+    linear = Scalarizer(weights[2], ScalarizerSpec("linear"))
+    # the start's two redundant columns have equal first costs, and removing
+    # the later one gives a value 3 IMPROVEMENT_EPS lower than the earlier
+    inst = ScpInstance(np.array([[5, 5, 4], [2, 3, 1]]), np.ones((1, 3), dtype=bool))
+    trace = []
+    assert scp_local_search(inst, {0, 1, 2}, linear, value_trace=trace) == {2}
+    assert trace == [linear((14, 6)), linear((9, 3)), linear((4, 1))]
+    # removing column 0 uncovers both rows; the repair inserts 1, then 2,
+    # and the neighbour is 9 IMPROVEMENT_EPS below the start
+    inst = ScpInstance(np.array([[10, 4, 6], [5, 1, 1]]), np.array([[True, True, False], [True, False, True]]))
+    assert scp_local_search(inst, {0}, linear) == {1, 2}
+    rng = np.random.default_rng(151)
+    kinds = ("linear", "mixed")
+    counts = oracle_counts()
+    for case in range(40):
+        n_obj = 2 + case % 2
+        n_rows, n_base = int(rng.integers(6, 21)), int(rng.integers(8, 25))
+        coverage = rng.random((n_rows, n_base)) < 0.3
+        coverage[np.arange(n_rows), rng.integers(n_base, size=n_rows)] = True
+        costs = rng.integers(1, 20, size=(n_obj, n_base))
+        twin = costs.copy()
+        twin[1] += rng.integers(1, 4, size=n_base)
+        inst = ScpInstance(np.hstack([costs, twin]), np.hstack([coverage, coverage]))
+        pairs = rng.choice(n_base, size=3, replace=False)
+        start = padded_cover(inst, rng) | frozenset(pairs.tolist()) | frozenset((pairs + n_base).tolist())
+        kind = kinds[(case // 2) % 2]
+        ref = tuple(float(v) for v in rng.integers(0, 10, size=n_obj)) if kind != "linear" else None
+        s = Scalarizer(weights[n_obj], ScalarizerSpec(kind), ref)
+        assert_matches_frozen_search(inst, start, s, counts)
+    assert counts["skipped"] > 0 and counts["stopped"] > 0 and counts["near"] > 0, counts
 
 
 def test_recombine_identical_parents():
