@@ -65,9 +65,28 @@ class TspInstance:
         return len(self.costs)
 
 
-def _check_tour(instance: TspInstance, tour: np.ndarray) -> np.ndarray:
-    t = np.asarray(tour, dtype=np.int64)
-    if t.shape != (instance.n,) or len(np.unique(t)) != instance.n:
+def _city_ids(seq: Sequence[int], n: int, what: str) -> np.ndarray:
+    """A 1-D int64 array of city ids 0..n-1; a ValueError names the first
+    id that is no city: outside 0..n-1, or not an integer."""
+    t = np.asarray(seq)
+    if t.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of city ids")
+    if t.dtype.kind not in "iuf":
+        raise ValueError(f"{what} must hold integer city ids, not {t.dtype}")
+    if t.dtype.kind == "f":
+        fractional = np.flatnonzero(t != np.floor(t))
+        if fractional.size:
+            raise ValueError(f"{what} holds id {t[fractional[0]]}, which is not an integer city id")
+    if t.size and (t.min() < 0 or t.max() >= n):
+        bad = t[(t < 0) | (t >= n)][0]
+        raise ValueError(f"{what} holds id {bad}, outside the cities 0..{n - 1}")
+    return t.astype(np.int64, copy=False)
+
+
+def _check_tour(instance: TspInstance, tour: Sequence[int]) -> np.ndarray:
+    n = instance.n
+    t = _city_ids(tour, n, "tour")
+    if t.size != n or np.bincount(t, minlength=n).max() != 1:
         raise ValueError("tour must be a permutation of all cities")
     return t
 
@@ -75,8 +94,10 @@ def _check_tour(instance: TspInstance, tour: np.ndarray) -> np.ndarray:
 def tsp_evaluate(instance: TspInstance, tour: Sequence[int]) -> ObjectivePoint:
     """Cyclic edge-sum per objective."""
     t = _check_tour(instance, tour)
-    nxt = np.roll(t, -1)
-    return tuple(float(c[t, nxt].sum()) for c in instance.costs)
+    edges = t * instance.n  # flat index of each edge <t[i], t[i+1]>
+    edges[:-1] += t[1:]
+    edges[-1] += t[0]
+    return tuple(float(c.take(edges).sum()) for c in instance.costs)
 
 
 def random_tour(instance: TspInstance, rng: np.random.Generator) -> np.ndarray:
@@ -162,6 +183,14 @@ def _invalid_pairs(n: int) -> np.ndarray:
     return bad
 
 
+@lru_cache(maxsize=128)
+def _invalid_bias(n: int) -> np.ndarray:
+    """inf where `_invalid_pairs(n)` marks a pair, 0.0 elsewhere; read-only."""
+    bias = np.where(_invalid_pairs(n), np.inf, 0.0)
+    bias.setflags(write=False)
+    return bias
+
+
 def _exchange_deltas(p: np.ndarray) -> np.ndarray:
     """Change of an edge weight sum under every 2-opt exchange (i, k).
 
@@ -196,7 +225,7 @@ class _Moves:
         else:
             self.costs = list(instance.costs)
 
-    def _scalarize(self, deltas: list[np.ndarray], point: np.ndarray, value: float) -> np.ndarray:
+    def _scalarize(self, deltas: list[np.ndarray], point: list[int], value: float) -> np.ndarray:
         if self.plain:
             vals = deltas[0]
             vals += value
@@ -209,20 +238,30 @@ class _Moves:
 class _DenseMoves(_Moves):
     """Every position pair (i, k): the search without candidate lists.
 
-    A step gathers each matrix once, permuted into tour order, and reads
-    every exchange's delta from it.
+    A step gathers each matrix once into tour order, p[i, k] = m[te[i],
+    te[k]], and reads every exchange's delta from it.  A cached 0/inf bias,
+    inf where `_invalid_pairs` marks the pair, is added last to the
+    scalarized values: x + 0.0 == x, so each valid move keeps its bits and
+    every other pair reads inf.
     """
 
     def __init__(self, instance: TspInstance, scalarizer: Scalarizer):
         super().__init__(instance, scalarizer)
-        self.invalid = _invalid_pairs(self.n)
+        self.bias = _invalid_bias(self.n)
 
-    def best(self, te: np.ndarray, point: np.ndarray, value: float) -> tuple[int, float]:
+    def values(self, te: np.ndarray, point: list[int], value: float) -> np.ndarray:
+        """The (n, n) value of every move (i, k), inf where `_invalid_pairs`
+        marks it."""
+        deltas = [_exchange_deltas(c.take(te, axis=0).take(te, axis=1)) for c in self.costs]
+        vals = self._scalarize(deltas, point, value)
+        vals += self.bias
+        return vals
+
+    def best(self, te: np.ndarray, point: list[int], value: float) -> tuple[int, float]:
         """The best move's flat index i*n + k and its value."""
-        vals = self._scalarize([_exchange_deltas(c[te][:, te]) for c in self.costs], point, value)
-        vals[self.invalid] = np.inf
-        flat = int(np.argmin(vals))
-        return flat, vals.flat[flat]
+        vals = self.values(te, point, value)
+        flat = int(vals.argmin())
+        return flat, vals.item(flat)
 
 
 class _MoveList(_Moves):
@@ -243,13 +282,13 @@ class _MoveList(_Moves):
         own = self.pa[:half] * n + self.pc[:half]  # flat index of the pair's edge <a,c>
         self.flat_costs = [c.ravel() for c in self.costs]
         self.fixed = [np.tile(c[own], 2) for c in self.flat_costs]
-        self.invalid = _invalid_pairs(n).ravel()
+        self.bias = _invalid_bias(n).ravel()
         self.positions = np.arange(n)
         self.before = np.roll(self.positions, 1)  # (pos - 1) mod n
         self.pos2 = np.empty(2 * n, dtype=np.int64)  # pos of each city, then pos - 1
         self.nb2 = np.empty(2 * n, dtype=np.int64)  # successor of each city, then predecessor
 
-    def values(self, te: np.ndarray, point: np.ndarray, value: float) -> tuple[np.ndarray, np.ndarray]:
+    def values(self, te: np.ndarray, point: list[int], value: float) -> tuple[np.ndarray, np.ndarray]:
         """(flat, vals): each move's i*n + k and its value, inf where
         `_invalid_pairs` marks it."""
         n, pa, pc, pos2, nb2 = self.n, self.pa, self.pc, self.pos2, self.nb2
@@ -274,10 +313,10 @@ class _MoveList(_Moves):
             d -= removed[k]
             deltas.append(d)
         vals = self._scalarize(deltas, point, value)
-        vals[self.invalid[flat]] = np.inf
+        vals += self.bias[flat]
         return flat, vals
 
-    def best(self, te: np.ndarray, point: np.ndarray, value: float) -> tuple[int, float]:
+    def best(self, te: np.ndarray, point: list[int], value: float) -> tuple[int, float]:
         """As `_DenseMoves.best`: ties go to the lowest i*n + k.  An empty
         move list is a local optimum."""
         if not self.pa.size:
@@ -318,7 +357,7 @@ def two_opt_local_search(
     t = te[:n]
     if candidates is not None and len(candidates.members) != n:
         raise ValueError(f"candidate lists cover {len(candidates.members)} cities, the instance has {n}")
-    point = np.array([c[t, te[1:]].sum() for c in instance.costs], dtype=np.int64)
+    point = [int(c[t, te[1:]].sum()) for c in instance.costs]
     value = scalarizer(point)
     if value_trace is not None:
         value_trace.append(value)
@@ -328,10 +367,10 @@ def two_opt_local_search(
         if not best < value - IMPROVEMENT_EPS:
             break
         i, k = divmod(flat, n)
-        a, b, c, d = te[i], te[i + 1], te[k], te[k + 1]
-        delta = np.array([m[a, c] + m[b, d] - m[a, b] - m[c, d] for m in instance.costs], dtype=np.int64)
+        a, b = te[i : i + 2].tolist()
+        c, d = te[k : k + 2].tolist()
         t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]  # t[0] never moves, so te[n] stays equal to it
-        point = point + delta
+        point = [z + int(m[a, c] + m[b, d] - m[a, b] - m[c, d]) for z, m in zip(point, instance.costs)]
         value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)
@@ -340,10 +379,10 @@ def two_opt_local_search(
 
 def _edge_set(tour: np.ndarray) -> set[tuple[int, int]]:
     """Undirected edges (a < b) of a closed tour; empty for fewer than 2 cities."""
-    if tour.size < 2:
+    t = tour.tolist()
+    if len(t) < 2:
         return set()
-    nxt = np.roll(tour, -1)
-    return {(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in zip(tour, nxt)}
+    return {(a, b) if a < b else (b, a) for a, b in zip(t, t[1:] + t[:1])}
 
 
 def _common_fragments(n_cities: Sequence[int], common_edges: set[tuple[int, int]]) -> list[list[int]] | None:
@@ -385,41 +424,43 @@ def _chain_fragments_avoiding(
     attempts: int,
 ) -> list[int] | None:
     """Randomly chain fragments into a cycle using only connectors outside
-    `forbidden`; None if every attempt dead-ends."""
+    `forbidden`; None if every attempt dead-ends.
 
-    def edge(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
+    A step's options are the ends of the remaining fragments in ascending
+    fragment order, each head before its tail, less those that `forbidden`
+    joins to the chain's last city; one option is drawn uniformly.
+    """
+    blocked: dict[int, set[int]] = {c: set() for frag in fragments for c in frag}
+    for a, b in forbidden:
+        blocked[a].add(b)
+        blocked[b].add(a)
+    heads = [frag[0] for frag in fragments]
+    tails = [frag[-1] if len(frag) > 1 else None for frag in fragments]
 
     m = len(fragments)
     for _ in range(attempts):
-        order = list(rng.permutation(m))
+        order = rng.permutation(m).tolist()
         first = fragments[order[0]]
         if len(first) > 1 and rng.random() < 0.5:
             first = first[::-1]
         chain = list(first)
-        remaining = set(order[1:])
-        dead = False
+        remaining = sorted(order[1:])
         while remaining:
-            tail = chain[-1]
+            shut = blocked[chain[-1]]
             options = []
             for idx in remaining:
-                frag = fragments[idx]
-                if edge(tail, frag[0]) not in forbidden:
+                if heads[idx] not in shut:
                     options.append((idx, False))
-                if len(frag) > 1 and edge(tail, frag[-1]) not in forbidden:
+                if tails[idx] is not None and tails[idx] not in shut:
                     options.append((idx, True))
             if not options:
-                dead = True
                 break
             idx, flip = options[int(rng.integers(len(options)))]
-            frag = fragments[idx][::-1] if flip else fragments[idx]
-            chain.extend(frag)
-            remaining.discard(idx)
-        if dead:
-            continue
-        if m > 1 and edge(chain[-1], chain[0]) in forbidden:
-            continue
-        return chain
+            chain.extend(fragments[idx][::-1] if flip else fragments[idx])
+            remaining.remove(idx)
+        else:
+            if m == 1 or chain[0] not in blocked[chain[-1]]:
+                return chain
     return None
 
 
@@ -437,11 +478,14 @@ def dpx_recombine(
     """
     pa = np.asarray(parent_a, dtype=np.int64)
     pb = np.asarray(parent_b, dtype=np.int64)
-    if sorted(pa.tolist()) != sorted(pb.tolist()):
+    cities = pa.tolist()
+    if sorted(cities) != sorted(pb.tolist()):
         raise ValueError("parents must visit the same cities")
+    if len(set(cities)) != len(cities):
+        raise ValueError("parents must visit each city once")
     ea, eb = _edge_set(pa), _edge_set(pb)
     common = ea & eb
-    fragments = _common_fragments(pa.tolist(), common)
+    fragments = _common_fragments(cities, common)
     if fragments is None:
         return pa.copy()
     chain = _chain_fragments_avoiding(fragments, ea | eb, rng, _DPX_ATTEMPTS)

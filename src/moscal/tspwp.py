@@ -16,7 +16,7 @@ import numpy as np
 
 from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
-from .tsp import _common_fragments, _edge_set, _exchange_deltas, _invalid_pairs
+from .tsp import _city_ids, _common_fragments, _edge_set, _exchange_deltas, _invalid_pairs
 
 __all__ = [
     "TspwpInstance",
@@ -112,11 +112,11 @@ class ObjectiveRanges:
 
 
 def _check_subtour(instance: TspwpInstance, subtour: Sequence[int]) -> np.ndarray:
-    t = np.asarray(subtour, dtype=np.int64)
-    if t.ndim != 1 or t.size == 0:
+    t = _city_ids(subtour, instance.n, "sub-tour")
+    if t.size == 0:
         raise ValueError("sub-tour must be a nonempty city sequence")
-    if len(np.unique(t)) != t.size or t.min() < 0 or t.max() >= instance.n:
-        raise ValueError("sub-tour must list distinct valid cities")
+    if np.bincount(t).max() != 1:
+        raise ValueError("sub-tour must list distinct cities")
     return t
 
 
@@ -322,9 +322,12 @@ def dpx_wp_recombine(
     pb = np.asarray(parent_b, dtype=np.int64)
     if n_cities is None:
         n_cities = int(max(pa.max(), pb.max())) + 1
+    nodes_a, nodes_b = set(pa.tolist()), set(pb.tolist())
+    if len(nodes_a) != pa.size or len(nodes_b) != pb.size:
+        raise ValueError("parents must visit each city at most once")
     ea, eb = _edge_set(pa), _edge_set(pb)
     common_edges = ea & eb
-    common_nodes = set(pa.tolist()) & set(pb.tolist())
+    common_nodes = nodes_a & nodes_b
 
     fragments = _common_fragments(sorted(common_nodes), common_edges)
     if fragments is None:

@@ -1,14 +1,17 @@
 import itertools
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from moscal import tspwp
 from moscal.engine import IMPROVEMENT_EPS, MethodConfig, run_method
 from moscal.scalarizing import Scalarizer, ScalarizerSpec
 from moscal.tsp import (
     CandidateLists,
     TspAdapter,
     TspInstance,
+    _DenseMoves,
     _MoveList,
     _exchange_deltas,
     _invalid_pairs,
@@ -82,6 +85,26 @@ def test_evaluate_cyclic_edge_sum():
         tsp_evaluate(inst, [0, 1, 2, 2])
     with pytest.raises(ValueError):
         tsp_evaluate(inst, [0, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "tour, message",
+    [
+        ([-1, 1, 2, 3], "tour holds id -1, outside the cities 0..3"),  # was read as city 3
+        ([0, 1, 2, 7], "tour holds id 7, outside the cities 0..3"),  # was an IndexError deep in numpy
+        ([0, 1.7, 2, 3], "tour holds id 1.7, which is not an integer city id"),  # was truncated to city 1
+    ],
+    ids=["negative", "beyond_n", "fractional"],
+)
+def test_tour_ids_that_are_no_city_are_rejected_by_name(tour, message):
+    c = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+    inst = TspInstance((c, c))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tsp_evaluate(inst, tour)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        two_opt_local_search(inst, tour, LIN)
+    # integral floats and unsigned ids are still city ids
+    assert tsp_evaluate(inst, [0.0, 1.0, 2.0, 3.0]) == tsp_evaluate(inst, np.arange(4, dtype=np.uint8)) == (14.0, 14.0)
 
 
 def test_evaluate_against_plain_python_oracle():
@@ -348,7 +371,8 @@ def test_two_opt_matches_frozen_dense_oracle():
 def test_exchange_deltas_keep_summation_order():
     # ((p[i,k] + p[i+1,k+1]) - removed_i) - removed_k, bit for bit: with
     # float-weighted costs of about 1e7, another order changes the last bit.
-    # The move list scores its moves with the same bits as the dense kernel.
+    # The move list and the dense search score their moves with the same
+    # bits as the dense kernel.
     rng = np.random.default_rng(41)
     s = Scalarizer((0.3713, 0.6287), ScalarizerSpec("linear"))
     reordered = listed_reordered = 0
@@ -375,6 +399,14 @@ def test_exchange_deltas_keep_summation_order():
         value = s(point)
         flat, vals = moves.values(te, point, value)
         assert vals[valid].tobytes() == (expected.ravel()[flat[valid]] + value).tobytes()
+        # the dense search adds a 0/inf bias to its values; each move keeps its bits
+        dense = _DenseMoves(inst, s)
+        dense_vals = dense.values(te, point, value)
+        invalid = _invalid_pairs(n)
+        assert np.isinf(dense_vals[invalid]).all()
+        assert dense_vals[~invalid].tobytes() == (expected + value)[~invalid].tobytes()
+        best_flat, best = dense.best(te, point, value)
+        assert best_flat == int(np.argmin(dense_vals)) and best == dense_vals.flat[best_flat]
     assert reordered >= 15  # the inputs do tell the two orders apart
     assert listed_reordered >= 10  # also on the moves the lists allow
 
@@ -442,6 +474,161 @@ def test_dpx_rejects_mismatched_city_sets():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
         dpx_recombine(np.array([0, 1, 2, 3]), np.array([0, 1, 2, 4]), rng)
+    # a repeated city used to drop a city from the offspring, or to hang the
+    # fragment walk
+    for pa, pb in (([0, 0, 1, 2], [0, 1, 0, 2]), ([0, 1, 2, 3, 3], [3, 0, 1, 2, 3])):
+        with pytest.raises(ValueError, match="parents must visit each city once"):
+            dpx_recombine(np.array(pa), np.array(pb), rng)
+
+
+def frozen_edge_set(tour):
+    """Oracle: `_edge_set` as first written, over numpy scalars."""
+    if tour.size < 2:
+        return set()
+    nxt = np.roll(tour, -1)
+    return {(int(a), int(b)) if a < b else (int(b), int(a)) for a, b in zip(tour, nxt)}
+
+
+def frozen_common_fragments(n_cities, common_edges):
+    """Oracle: `_common_fragments` as first written."""
+    adj = {c: [] for c in n_cities}
+    for a, b in common_edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    if common_edges and all(len(adj[c]) == 2 for c in n_cities):
+        return None
+    fragments = []
+    seen = set()
+    for c in n_cities:
+        if c in seen or len(adj[c]) == 2:
+            continue
+        frag = [c]
+        seen.add(c)
+        prev, cur = None, c
+        while True:
+            nbrs = [x for x in adj[cur] if x != prev]
+            if not nbrs:
+                break
+            prev, cur = cur, nbrs[0]
+            frag.append(cur)
+            seen.add(cur)
+        fragments.append(frag)
+    return fragments
+
+
+def frozen_chain_fragments_avoiding(fragments, forbidden, rng, attempts, counts):
+    """Oracle: the chaining as first written, rescanning a set of the
+    remaining fragments at every step; counts its dead ends."""
+
+    def edge(a, b):
+        return (a, b) if a < b else (b, a)
+
+    m = len(fragments)
+    for _ in range(attempts):
+        order = list(rng.permutation(m))
+        first = fragments[order[0]]
+        if len(first) > 1 and rng.random() < 0.5:
+            first = first[::-1]
+        chain = list(first)
+        remaining = set(order[1:])
+        dead = False
+        while remaining:
+            tail = chain[-1]
+            options = []
+            for idx in remaining:
+                frag = fragments[idx]
+                if edge(tail, frag[0]) not in forbidden:
+                    options.append((idx, False))
+                if len(frag) > 1 and edge(tail, frag[-1]) not in forbidden:
+                    options.append((idx, True))
+            if not options:
+                dead = True
+                break
+            idx, flip = options[int(rng.integers(len(options)))]
+            frag = fragments[idx][::-1] if flip else fragments[idx]
+            chain.extend(frag)
+            remaining.discard(idx)
+        if dead or (m > 1 and edge(chain[-1], chain[0]) in forbidden):
+            counts["dead ends"] += 1
+            continue
+        return chain
+    return None
+
+
+def frozen_dpx_recombine(parent_a, parent_b, rng, counts):
+    """Oracle: `dpx_recombine` as first written; counts identical parents
+    and fallbacks to parent edges."""
+    pa = np.asarray(parent_a, dtype=np.int64)
+    pb = np.asarray(parent_b, dtype=np.int64)
+    ea, eb = frozen_edge_set(pa), frozen_edge_set(pb)
+    common = ea & eb
+    fragments = frozen_common_fragments(pa.tolist(), common)
+    if fragments is None:
+        counts["identical"] += 1
+        return pa.copy()
+    chain = frozen_chain_fragments_avoiding(fragments, ea | eb, rng, 30, counts)
+    if chain is None:
+        counts["fallbacks"] += 1
+        chain = frozen_chain_fragments_avoiding(fragments, common, rng, 1, counts)
+    return np.asarray(chain, dtype=np.int64)
+
+
+def test_dpx_matches_frozen_oracle(monkeypatch):
+    # Same offspring and same RNG draws as the first DPX, whose chaining
+    # iterated a set of small ints (ascending in CPython): over identical
+    # parents, pairs one 2-opt move apart, random pairs (dead ends and the
+    # fallback) and pairs of 2-opt local optima at n = 4..100, and over
+    # dpx_wp_recombine, which shares the edge and fragment helpers.
+    rng = np.random.default_rng(1996)
+    counts = Counter()
+
+    def check(recombine, frozen, pa, pb, case):
+        seed = int(rng.integers(2**32))
+        expected_rng, out_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = frozen(pa, pb, expected_rng)
+        out = recombine(pa, pb, out_rng)
+        assert out.tolist() == expected.tolist(), case
+        assert out_rng.random() == expected_rng.random(), case
+        counts["pairs"] += 1
+
+    def tsp_check(pa, pb, case):
+        check(dpx_recombine, lambda a, b, r: frozen_dpx_recombine(a, b, r, counts), pa, pb, case)
+
+    for case in range(20):
+        n = int(rng.integers(4, 101))
+        p = rng.permutation(n)
+        tsp_check(p, p, ("identical", case))
+        tsp_check(p, np.roll(p[::-1], int(rng.integers(n))), ("mirrored", case))
+    for case in range(40):
+        n = int(rng.integers(5, 101))
+        p = rng.permutation(n)
+        i = int(rng.integers(n - 3))
+        k = int(rng.integers(i + 2, n - 1))
+        q = np.concatenate((p[: i + 1], p[i + 1 : k + 1][::-1], p[k + 1 :]))
+        tsp_check(p, q, ("one 2-opt move apart", case))
+    for case in range(80):
+        n = int(rng.integers(4, 101)) if case % 2 else int(rng.integers(4, 9))
+        tsp_check(rng.permutation(n), rng.permutation(n), ("random", case))
+    for case in range(40):
+        n = int(rng.integers(10, 101))
+        inst = random_instance(n, 2, rng)
+        s = Scalarizer(tuple(rng.dirichlet(np.ones(2))), ScalarizerSpec("linear"))
+        pa, pb = (two_opt_local_search(inst, random_tour(inst, rng), s) for _ in range(2))
+        tsp_check(pa, pb, ("local optima", case))
+
+    def frozen_wp(pa, pb, r):
+        with monkeypatch.context() as m:
+            m.setattr(tspwp, "_edge_set", frozen_edge_set)
+            m.setattr(tspwp, "_common_fragments", frozen_common_fragments)
+            return tspwp.dpx_wp_recombine(pa, pb, r, n)
+
+    for case in range(40):
+        n = int(rng.integers(4, 101))
+        pa = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        pb = pa.copy() if case % 4 == 0 else rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        check(lambda a, b, r: tspwp.dpx_wp_recombine(a, b, r, n), frozen_wp, pa, pb, ("dpx_wp", case))
+    assert counts["pairs"] >= 200
+    assert counts["identical"] >= 40 and counts["dead ends"] >= 1000 and counts["fallbacks"] >= 20, counts
 
 
 def test_adapter_full_run_builds_candidates_and_archive():

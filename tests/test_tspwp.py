@@ -91,6 +91,25 @@ def test_evaluate_subtours():
         tspwp_evaluate(inst, [0, 9])
 
 
+@pytest.mark.parametrize(
+    "subtour, message",
+    [
+        ([2, -1], "sub-tour holds id -1, outside the cities 0..3"),
+        ([2, 4], "sub-tour holds id 4, outside the cities 0..3"),
+        ([0, 1.7, 3], "sub-tour holds id 1.7, which is not an integer city id"),  # was truncated to city 1
+    ],
+    ids=["negative", "beyond_n", "fractional"],
+)
+def test_subtour_ids_that_are_no_city_are_rejected_by_name(subtour, message):
+    c = np.array([[0, 2, 3, 4], [2, 0, 5, 6], [3, 5, 0, 7], [4, 6, 7, 0]])
+    inst = TspwpInstance(c, np.array([10, 20, 30, 40]))
+    s = Scalarizer((0.5, 0.5), ScalarizerSpec("linear"))
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tspwp_evaluate(inst, subtour)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        tspwp_local_search(inst, subtour, s)
+
+
 def test_evaluate_against_oracle():
     rng = np.random.default_rng(2)
     inst = small_instance(8, rng)
@@ -247,6 +266,14 @@ def test_dpx_wp_identical_parents():
     off = dpx_wp_recombine(p, p, rng, n_cities=10)
     assert cycle_edges(off) == cycle_edges(p)
     assert set(off.tolist()) == set(p.tolist())
+
+
+def test_dpx_wp_rejects_repeated_cities():
+    # a repeated city used to pass unnoticed, or to hang the fragment walk
+    rng = np.random.default_rng(0)
+    for pa, pb in (([0, 0, 1], [0, 1]), ([0, 1, 2, 2], [2, 0, 1, 2])):
+        with pytest.raises(ValueError, match="parents must visit each city at most once"):
+            dpx_wp_recombine(np.array(pa), np.array(pb), rng, n_cities=6)
 
 
 def test_dpx_wp_preserves_common_edges_and_nodes():
