@@ -137,8 +137,8 @@ class MethodConfig:
             raise ValueError(f"{self.method} needs weight_count >= 1")
         if self.method in _UNIFORM_METHODS and granularity_for_count(self.objectives, self.weight_count) < 1:
             raise ValueError(f"{self.method} needs at least {self.objectives} weights, got {self.weight_count}")
-        if self.expected_rank < 1:
-            raise ValueError("expected_rank must be >= 1")
+        if not self.expected_rank >= 1:  # nan fails this too
+            raise ValueError(f"expected_rank must be >= 1, got {self.expected_rank}")
         if self.neighborhood_size < 2:
             raise ValueError("neighborhood_size must be >= 2")
         if self.method == "moead" and self.neighborhood_size > self.weight_count:
@@ -151,6 +151,8 @@ class MethodConfig:
             raise ValueError("max_replacements must be >= 1")
         if self.main_iterations is not None and self.main_iterations < 0:
             raise ValueError("main_iterations must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def total_iterations(self) -> int:
         k = self.weight_count
@@ -173,8 +175,8 @@ def tournament_size(archive_size: int, expected_rank: float) -> int:
     """
     if archive_size < 2:
         raise ValueError("tournament needs an archive of at least 2")
-    if expected_rank < 1:
-        raise ValueError("expected_rank must be >= 1")
+    if not expected_rank >= 1:  # nan fails this too
+        raise ValueError(f"expected_rank must be >= 1, got {expected_rank}")
     t = round(3.0 * archive_size / (2.0 * expected_rank))
     return max(2, min(int(t), archive_size))
 
@@ -259,25 +261,27 @@ def moead_update(
     transform: Any = None,
 ) -> int:
     """Visit the scope in random order, replacing incumbents the offspring
-    strictly improves under their own weights; stop after nr replacements."""
-    _, off_point = offspring
-    replaced = 0
-    for pos in rng.permutation(len(scope)):
-        j = int(scope[pos])
-        s_j = _bind(state.weights[j], spec, reference, transform)
-        inc = state.incumbents[j]
-        if inc is None:
-            raise ValueError("moead incumbents not initialized")
-        if s_j(off_point) < s_j(inc[1]):
-            state.incumbents[j] = offspring
-            replaced += 1
-            if replaced >= nr:
-                break
-    return replaced
+    strictly improves under their own weights; stop after nr replacements.
+
+    The scope holds distinct subproblems, as `get_parents_neighborhood`
+    returns it.  One scalarizer over the visited weights, stacked, scores
+    the offspring and every incumbent before the visit; each row has the
+    bits of a scalarizer bound to that weight alone.
+    """
+    visit = scope[rng.permutation(len(scope))].tolist()
+    incumbents = [state.incumbents[j] for j in visit]
+    if any(inc is None for inc in incumbents):
+        raise ValueError("moead incumbents not initialized")
+    s = _bind([state.weights[j] for j in visit], spec, reference, transform)
+    better = s.value(offspring[1]) < s.value([inc[1] for inc in incumbents])
+    hits = np.flatnonzero(better)[:nr].tolist()
+    for r in hits:
+        state.incumbents[visit[r]] = offspring
+    return len(hits)
 
 
 def _bind(
-    weights: WeightVector,
+    weights: WeightVector | Sequence[WeightVector],
     spec: ScalarizerSpec,
     reference: np.ndarray | None,
     transform: Any,

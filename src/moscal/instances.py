@@ -15,6 +15,7 @@ profits, random coverage), not any particular published file.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 from typing import Sequence
 
@@ -272,11 +273,17 @@ def load_tspwp_instance(coords_path, profits_path) -> TspwpInstance:
     return TspwpInstance(costs, profits)
 
 
+def _check_coord_range(coord_range: float) -> None:
+    if not (math.isfinite(coord_range) and coord_range > 0):
+        raise ValueError(f"coord_range must be positive and finite, got {coord_range}")
+
+
 def generate_euclidean_coords(
     n: int, rng: np.random.Generator, coord_range: float = DEFAULT_COORD_RANGE
 ) -> np.ndarray:
-    if n < 1 or coord_range <= 0:
-        raise ValueError("need n >= 1 and a positive coordinate range")
+    if n < 1:
+        raise ValueError("need n >= 1")
+    _check_coord_range(coord_range)
     return rng.uniform(0.0, coord_range, size=(n, 2))
 
 
@@ -291,10 +298,13 @@ def generate_cluster_coords(
 
     Returns (coords, cluster label per city, cluster centers).
     """
-    if n < 1 or clusters < 1 or coord_range <= 0:
-        raise ValueError("need n >= 1, clusters >= 1 and a positive coordinate range")
+    if n < 1 or clusters < 1:
+        raise ValueError("need n >= 1 and clusters >= 1")
+    _check_coord_range(coord_range)
     if spread is None:
         spread = coord_range / 40.0
+    if not (math.isfinite(spread) and spread >= 0):
+        raise ValueError(f"spread must be nonnegative and finite, got {spread}")
     centers = rng.uniform(0.0, coord_range, size=(clusters, 2))
     labels = rng.integers(clusters, size=n)
     coords = centers[labels] + rng.normal(0.0, spread, size=(n, 2))
@@ -360,6 +370,8 @@ def generate_instance(kind: str, out, seed: int, **params) -> list[Path]:
     built from two generated 2-objective instances sharing the first one's
     coverage.
     """
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     out = Path(out)
     out.parent.mkdir(parents=True, exist_ok=True)

@@ -125,6 +125,13 @@ class Scalarizer:
     space the function is defined on (e.g. range normalization); the
     reference point is expressed in that transformed space.
 
+    `weights` may also be a sequence of N weight vectors, held stacked as
+    an (N, J) array: `value` then scores points of shape (..., J), whose
+    leading shape broadcasts against (N,), each under its own row.  The
+    terms index `weights[..., j]`, so every row gets the operations, in the
+    order, of a scalarizer bound to that row alone, and the same bits.
+    `__call__` takes one weight vector only.
+
     The transform must be elementwise and nondecreasing in each objective,
     as `ObjectiveRanges.normalize` is.  Then the value is nondecreasing in
     each objective, in floats too: every step (a correctly rounded difference,
@@ -135,14 +142,19 @@ class Scalarizer:
 
     def __init__(
         self,
-        weights: WeightVector | Sequence[float],
+        weights: WeightVector | Sequence[float] | Sequence[WeightVector],
         spec: ScalarizerSpec,
         reference: Sequence[float] | np.ndarray | None = None,
         transform: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
-        if not isinstance(weights, WeightVector):
-            weights = WeightVector(tuple(float(v) for v in weights))
-        self.weights = np.asarray(weights.lambdas, dtype=float)
+        if isinstance(weights, WeightVector):
+            self.weights = np.asarray(weights.lambdas, dtype=float)
+        elif len(weights) and isinstance(weights[0], WeightVector):
+            if any(len(w) != len(weights[0]) for w in weights):
+                raise ValueError("stacked weight vectors disagree on dimension")
+            self.weights = np.array([w.lambdas for w in weights], dtype=float)
+        else:
+            self.weights = np.asarray(WeightVector(tuple(float(v) for v in weights)).lambdas, dtype=float)
         self.spec = spec
         self.transform = transform
         self.reference = None
@@ -150,7 +162,7 @@ class Scalarizer:
             if reference is None:
                 raise ValueError(f"{spec.kind} scalarizer needs a reference point")
             self.reference = np.array(reference, dtype=float)
-            if self.reference.shape != self.weights.shape:
+            if self.reference.shape != self.weights.shape[-1:]:
                 raise ValueError("reference point and weights disagree on dimension")
         # Python floats for the per-point path of __call__
         self._lambdas = self.weights.tolist()
@@ -168,8 +180,8 @@ class Scalarizer:
     def value(self, z: np.ndarray) -> np.ndarray:
         """Scalarize an array of points, shape (..., J) -> (...)."""
         z = np.asarray(z, dtype=float)
-        if z.shape[-1] != self.weights.shape[0]:
-            raise ValueError(f"point dimension {z.shape[-1]} != weight dimension {self.weights.shape[0]}")
+        if z.shape[-1] != self.weights.shape[-1]:
+            raise ValueError(f"point dimension {z.shape[-1]} != weight dimension {self.weights.shape[-1]}")
         return self._scalarize(z)
 
     def value_columns(self, *columns: np.ndarray | float) -> np.ndarray:
@@ -178,7 +190,7 @@ class Scalarizer:
         The columns broadcast to one shape (...); the result equals `value`
         of the stacked (..., J) array bit for bit.
         """
-        j_count = self.weights.shape[0]
+        j_count = self.weights.shape[-1]
         if len(columns) != j_count:
             raise ValueError(f"{len(columns)} objective columns != weight dimension {j_count}")
         shape = np.broadcast(*columns).shape
@@ -206,9 +218,9 @@ class Scalarizer:
     def _linear(self, z: np.ndarray) -> np.ndarray:
         """sum_j lambda_j * z_j, added left to right."""
         w = self.weights
-        lin = z[..., 0] * w[0]
-        for j in range(1, w.size):
-            lin = lin + z[..., j] * w[j]
+        lin = z[..., 0] * w[..., 0]
+        for j in range(1, w.shape[-1]):
+            lin = lin + z[..., j] * w[..., j]
         return lin
 
     def _chebycheff(self, z: np.ndarray) -> np.ndarray:
@@ -219,9 +231,9 @@ class Scalarizer:
         numpy broadcasts and reduces over a short last axis far more slowly.
         """
         w, ref = self.weights, self.reference
-        cheby = w[0] * (z[..., 0] - ref[0])
-        for j in range(1, w.size):
-            cheby = np.maximum(cheby, w[j] * (z[..., j] - ref[j]))
+        cheby = w[..., 0] * (z[..., 0] - ref[0])
+        for j in range(1, w.shape[-1]):
+            cheby = np.maximum(cheby, w[..., j] * (z[..., j] - ref[j]))
         return cheby
 
     def __call__(self, z: Sequence[float]) -> float:

@@ -154,6 +154,17 @@ class CandidateLists:
             arr.setflags(write=False)
         return out
 
+    @cached_property
+    def own_edges(self) -> np.ndarray:
+        """Flat index a*n + c of each pair's edge <a,c>, once per side of
+        `pairs` (2P entries, read-only): every move's new edge <a,c>."""
+        n = len(self.members)
+        pa, pc = self.pairs
+        half = pa.size // 2
+        own = np.tile(pa[:half] * n + pc[:half], 2)
+        own.setflags(write=False)
+        return own
+
 
 def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
     """Union of tour adjacencies over the given tours: c is in cand(a) when
@@ -191,6 +202,16 @@ def _invalid_bias(n: int) -> np.ndarray:
     return bias
 
 
+@lru_cache(maxsize=128)
+def _positions(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Positions 0..n-1 and (pos - 1) mod n; read-only, one pair per n."""
+    positions = np.arange(n)
+    before = np.roll(positions, 1)
+    for arr in (positions, before):
+        arr.setflags(write=False)
+    return positions, before
+
+
 def _exchange_deltas(p: np.ndarray) -> np.ndarray:
     """Change of an edge weight sum under every 2-opt exchange (i, k).
 
@@ -199,7 +220,7 @@ def _exchange_deltas(p: np.ndarray) -> np.ndarray:
     <te[i+1],te[k+1]> and removes <te[i],te[i+1]> and <te[k],te[k+1]>; the
     terms are summed in that order.
     """
-    removed = np.diagonal(p, 1)
+    removed = p.diagonal(1)
     d = p[:-1, :-1] + p[1:, 1:]
     d -= removed[:, None]
     d -= removed[None, :]
@@ -221,7 +242,12 @@ class _Moves:
         self.scalarizer = scalarizer
         self.plain = scalarizer.is_plain_linear
         if self.plain:
-            self.costs = [sum(float(l) * c for l, c in zip(scalarizer.weights, instance.costs))]
+            # sum_j lambda_j * m_j, added left to right in place
+            lam = scalarizer.weights.tolist()
+            combined = instance.costs[0] * lam[0]
+            for l, c in zip(lam[1:], instance.costs[1:]):
+                combined += c * l
+            self.costs = [combined]
         else:
             self.costs = list(instance.costs)
 
@@ -278,13 +304,10 @@ class _MoveList(_Moves):
         super().__init__(instance, scalarizer)
         n = self.n
         self.pa, self.pc = candidates.pairs
-        half = self.pa.size // 2
-        own = self.pa[:half] * n + self.pc[:half]  # flat index of the pair's edge <a,c>
         self.flat_costs = [c.ravel() for c in self.costs]
-        self.fixed = [np.tile(c[own], 2) for c in self.flat_costs]
+        self.fixed = [c.take(candidates.own_edges) for c in self.flat_costs]
         self.bias = _invalid_bias(n).ravel()
-        self.positions = np.arange(n)
-        self.before = np.roll(self.positions, 1)  # (pos - 1) mod n
+        self.positions, self.before = _positions(n)
         self.pos2 = np.empty(2 * n, dtype=np.int64)  # pos of each city, then pos - 1
         self.nb2 = np.empty(2 * n, dtype=np.int64)  # successor of each city, then predecessor
 
@@ -294,9 +317,9 @@ class _MoveList(_Moves):
         n, pa, pc, pos2, nb2 = self.n, self.pa, self.pc, self.pos2, self.nb2
         t, succ = te[:-1], te[1:]
         pos2[t] = self.positions
-        pos2[t + n] = self.before
+        pos2[n:][t] = self.before
         nb2[t] = succ
-        nb2[succ + n] = t
+        nb2[n:][succ] = t
         i, k = pos2[pa], pos2[pc]
         flat = i * n
         flat += k
@@ -322,8 +345,8 @@ class _MoveList(_Moves):
         if not self.pa.size:
             return 0, np.inf
         flat, vals = self.values(te, point, value)
-        best = vals.min()
-        return int(flat[vals == best].min()), best
+        best = vals.item(vals.argmin())
+        return min(flat[vals == best].tolist()), best
 
 
 def two_opt_local_search(
@@ -357,7 +380,9 @@ def two_opt_local_search(
     t = te[:n]
     if candidates is not None and len(candidates.members) != n:
         raise ValueError(f"candidate lists cover {len(candidates.members)} cities, the instance has {n}")
-    point = [int(c[t, te[1:]].sum()) for c in instance.costs]
+    edges = t * n  # flat index of each edge <t[i], t[i+1]>
+    edges += te[1:]
+    point = [int(c.take(edges).sum()) for c in instance.costs]
     value = scalarizer(point)
     if value_trace is not None:
         value_trace.append(value)
@@ -367,10 +392,10 @@ def two_opt_local_search(
         if not best < value - IMPROVEMENT_EPS:
             break
         i, k = divmod(flat, n)
-        a, b = te[i : i + 2].tolist()
-        c, d = te[k : k + 2].tolist()
+        a, b, c, d = te.item(i), te.item(i + 1), te.item(k), te.item(k + 1)
         t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]  # t[0] never moves, so te[n] stays equal to it
-        point = [z + int(m[a, c] + m[b, d] - m[a, b] - m[c, d]) for z, m in zip(point, instance.costs)]
+        ac, bd, ab, cd = a * n + c, b * n + d, a * n + b, c * n + d
+        point = [z + m.item(ac) + m.item(bd) - m.item(ab) - m.item(cd) for z, m in zip(point, instance.costs)]
         value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)

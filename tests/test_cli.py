@@ -127,6 +127,46 @@ def test_run_flag_conflicts(tsp_files, tmp_path, capsys):
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--expected-rank", "nan", "error: expected_rank must be >= 1, got nan"),
+        ("--seed", "-1", "error: seed must be >= 0, got -1"),
+    ],
+    ids=["nan-expected-rank", "negative-seed"],
+)
+def test_run_rejects_bad_rank_and_seed_before_running(tsp_files, tmp_path, capsys, flag, value, message):
+    # both used to fail inside numpy: nan once the first tournament ran,
+    # a negative seed when the run's streams were seeded
+    out = tmp_path / "x.csv"
+    assert run_cli(
+        "run", "--problem", "mstsp", "--method", "mogls", "--instance", *tsp_files,
+        "--generations", "1", "--weights", "6", flag, value, "--out", str(out),
+    ) == 1
+    assert capsys.readouterr().err.strip() == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--kind", "euclidean", "--n", "8", "--seed", "-2"], "seed must be >= 0, got -2"),
+        (["--kind", "cluster", "--n", "8", "--spread", "nan"], "spread must be nonnegative and finite, got nan"),
+        (["--kind", "cluster", "--n", "8", "--spread", "inf"], "spread must be nonnegative and finite, got inf"),
+        (["--kind", "cluster", "--n", "8", "--spread", "-1"], "spread must be nonnegative and finite, got -1.0"),
+        (["--kind", "euclidean", "--n", "8", "--coord-range", "nan"], "coord_range must be positive and finite, got nan"),
+        (["--kind", "cluster", "--n", "8", "--coord-range", "inf"], "coord_range must be positive and finite, got inf"),
+    ],
+    ids=["negative-seed", "nan-spread", "inf-spread", "negative-spread", "nan-coord-range", "inf-coord-range"],
+)
+def test_gen_rejects_bad_seed_spread_and_range(tmp_path, capsys, args, message):
+    # a nan or inf spread wrote a file of non-finite coordinates; the others
+    # failed inside numpy
+    assert run_cli("gen", *args, "--out", str(tmp_path / "g")) == 1
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    assert not list(tmp_path.glob("g*"))
+
+
 def test_run_tspwp(tmp_path, capsys):
     assert run_cli("gen", "--kind", "euclidean", "--out", str(tmp_path / "wp"),
                    "--seed", "5", "--n", "8", "--objectives", "1") == 0

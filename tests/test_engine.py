@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from moscal.engine import (
     tournament_size,
 )
 from moscal.scalarizing import Scalarizer, ScalarizerSpec, generate_uniform_weights
+from moscal.tspwp import ObjectiveRanges
 
 
 class RecordingProblem(ProblemAdapter):
@@ -69,6 +72,19 @@ def test_config_validation():
         momsls_config(mating_probability=1.5)
     # G = 0 is allowed: initial phase only
     assert momsls_config(generations=0).total_iterations() == 5
+
+
+def test_config_rejects_nan_expected_rank_and_negative_seed():
+    # nan passed the `< 1` check, and the run then failed in tournament_size
+    # with "cannot convert float NaN to integer"; a negative seed reached
+    # numpy's SeedSequence
+    with pytest.raises(ValueError, match="expected_rank must be >= 1, got nan"):
+        momsls_config(expected_rank=float("nan"))
+    with pytest.raises(ValueError, match="expected_rank must be >= 1, got nan"):
+        tournament_size(10, float("nan"))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        momsls_config(seed=-1)
+    assert momsls_config(seed=0).seed == 0
 
 
 def test_config_rejects_moead_neighborhood_beyond_weights():
@@ -251,6 +267,91 @@ def test_moead_update_replacement_rules():
     same = ("copy", state2.incumbents[0][1])
     n = moead_update(state2, same, np.array([0]), spec, nr=2, rng=rng)
     assert n == 0
+    # an incumbent missing anywhere in the scope fails before any replacement
+    state2.incumbents[4] = None
+    with pytest.raises(ValueError, match="incumbents not initialized"):
+        moead_update(state2, ("good", (0.0, 0.0)), scope, spec, nr=2, rng=rng)
+    assert [state2.incumbents[i][0] for i in range(4)] == [f"inc{i}" for i in range(4)]
+
+
+def _frozen_moead_update(state, offspring, scope, spec, nr, rng, reference=None, transform=None):
+    """moead_update as it was: one scalarizer per visited neighbour, two
+    per-point calls, replacing in visiting order until nr."""
+    _, off_point = offspring
+    replaced = 0
+    for pos in rng.permutation(len(scope)):
+        j = int(scope[pos])
+        s_j = Scalarizer(state.weights[j], spec, reference, transform)
+        inc = state.incumbents[j]
+        if inc is None:
+            raise ValueError("moead incumbents not initialized")
+        if s_j(off_point) < s_j(inc[1]):
+            state.incumbents[j] = offspring
+            replaced += 1
+            if replaced >= nr:
+                break
+    return replaced
+
+
+def test_moead_update_matches_frozen_per_neighbour_loop():
+    # 240 seeded cases: 2 and 3 objectives; neighbourhood and full scopes;
+    # nr 1..3; linear, chebycheff and mixed, each with and without range
+    # normalization; offspring that copy an incumbent's point or move one of
+    # its coordinates by 1 (exact ties, also under lattice weights with a
+    # zero component), random offspring, dominating ones (capped at nr) and
+    # dominated ones
+    counts = Counter()
+    for case in range(240):
+        rng = np.random.default_rng(case)
+        j = 2 + case % 2
+        kind = ("linear", "chebycheff", "mixed")[(case // 2) % 3]
+        normalized = (case // 6) % 2 == 1
+        offspring_kind = (case // 12) % 5
+        weights = generate_uniform_weights(j, int(rng.integers(4, 13)) if j == 2 else int(rng.integers(3, 7)))
+        k = len(weights)
+        state = MoeadState.build(weights, int(rng.integers(2, k + 1)))
+        # each incumbent the best of 8 random points under its own weight,
+        # so that an offspring copying one seldom beats the others
+        drawn = rng.integers(0, 40, size=(k, 8, j)).astype(float)
+        lam = np.array([w.lambdas for w in weights])
+        points = drawn[np.arange(k), (drawn * lam[:, None, :]).sum(axis=2).argmin(axis=1)]
+        state.incumbents = [(f"inc{i}", tuple(p)) for i, p in enumerate(points.tolist())]
+        spec = ScalarizerSpec(kind, w_linear=float(rng.random())) if kind == "mixed" else ScalarizerSpec(kind)
+        transform = None
+        if normalized:
+            lows = rng.uniform(-20.0, 0.0, size=j)
+            transform = ObjectiveRanges(tuple(lows.tolist()), tuple((lows + rng.uniform(40.0, 90.0, size=j)).tolist())).normalize
+        image = transform(points) if transform is not None else points
+        reference = None if kind == "linear" else image.min(axis=0) - rng.uniform(0.0, 0.5, size=j)
+        base = points[int(rng.integers(k))].copy()
+        if offspring_kind == 1:
+            base[int(rng.integers(j))] += float(rng.choice([-1.0, 1.0]))
+        elif offspring_kind == 2:
+            base = rng.integers(0, 40, size=j).astype(float)
+        elif offspring_kind == 3:
+            base = points.min(axis=0) - 1.0
+        elif offspring_kind == 4:
+            base = points.max(axis=0) + 1.0
+        offspring = ("off", tuple(base.tolist()))
+        full = rng.random() < 0.5
+        scope = np.arange(k) if full else state.neighbors[int(rng.integers(k))]
+        nr = int(rng.integers(1, 4))
+
+        for i in scope.tolist():
+            s_i = Scalarizer(weights[i], spec, reference, transform)
+            counts["ties"] += s_i(offspring[1]) == s_i(state.incumbents[i][1])
+        old = MoeadState(state.weights, state.neighbors, list(state.incumbents))
+        rng_old, rng_new = np.random.default_rng(1000 + case), np.random.default_rng(1000 + case)
+        n_old = _frozen_moead_update(old, offspring, scope, spec, nr, rng_old, reference, transform)
+        n_new = moead_update(state, offspring, scope, spec, nr, rng_new, reference, transform)
+        assert n_new == n_old, case
+        assert [inc[0] for inc in state.incumbents] == [inc[0] for inc in old.incumbents], case
+        assert rng_new.random() == rng_old.random(), case
+        counts["capped"] += n_old == nr
+        counts["none"] += n_old == 0
+        counts["full"] += full
+    assert counts["ties"] >= 60 and counts["capped"] >= 80 and counts["none"] >= 50, counts
+    assert 80 <= counts["full"] <= 160, counts
 
 
 def test_run_momsls_initial_phase_only():

@@ -95,6 +95,11 @@ def test_plan_validation(tsp_paths, tmp_path):
         small_plan(tsp_paths, tmp_path / "o", replications=0)
     with pytest.raises(ValueError, match="not found"):
         small_plan((tsp_paths[0], str(tmp_path / "missing.tsp")), tmp_path / "o")
+    # both used to pass here and fail every run inside numpy
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        small_plan(tsp_paths, tmp_path / "o", seed_base=-1)
+    with pytest.raises(ValueError, match="expected_rank must be >= 1, got nan"):
+        small_plan(tsp_paths, tmp_path / "o", expected_rank=float("nan"))
 
 
 @pytest.mark.parametrize(

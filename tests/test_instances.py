@@ -205,6 +205,36 @@ def test_generate_cluster_scatter_within_three_sigma():
     assert len(set(big_labels.tolist())) == 6
 
 
+@pytest.mark.parametrize(
+    "generate, params, message",
+    [
+        (generate_cluster_coords, dict(spread=float("nan")), "spread must be nonnegative and finite, got nan"),
+        (generate_cluster_coords, dict(spread=float("inf")), "spread must be nonnegative and finite, got inf"),
+        (generate_cluster_coords, dict(spread=-1.0), "spread must be nonnegative and finite, got -1.0"),
+        (generate_euclidean_coords, dict(coord_range=float("nan")), "coord_range must be positive and finite, got nan"),
+        (generate_euclidean_coords, dict(coord_range=float("inf")), "coord_range must be positive and finite, got inf"),
+        (generate_cluster_coords, dict(coord_range=float("nan")), "coord_range must be positive and finite, got nan"),
+        (generate_cluster_coords, dict(coord_range=float("inf")), "coord_range must be positive and finite, got inf"),
+    ],
+    ids=["cluster-nan-spread", "cluster-inf-spread", "cluster-negative-spread", "euclidean-nan-range",
+         "euclidean-inf-range", "cluster-nan-range", "cluster-inf-range"],
+)
+def test_generators_reject_non_finite_range_and_bad_spread(generate, params, message):
+    # a nan or inf spread gave non-finite coordinates; the others failed
+    # inside numpy ("scale < 0", "high - low range exceeds valid bounds")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        generate(10, np.random.default_rng(0), **params)
+    # a zero spread stacks each cluster's cities on its center
+    coords, labels, centers = generate_cluster_coords(10, np.random.default_rng(0), spread=0.0)
+    assert np.array_equal(coords, centers[labels])
+
+
+def test_generate_instance_rejects_negative_seed(tmp_path):
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
+        generate_instance("scp", tmp_path / "c", seed=-2, rows=6, cols=15)
+    assert not list(tmp_path.iterdir())
+
+
 def test_generate_profits_range():
     p = generate_profits(500, np.random.default_rng(10))
     assert p.shape == (500,)

@@ -334,3 +334,54 @@ def test_value_never_falls_when_a_coordinate_rises(raised, seed):
             assert s(low) <= s(high), (spec, transform)
             both = s.value(np.stack([low, high]))
             assert both[0] <= both[1], (spec, transform)
+
+
+@st.composite
+def stacked_points(draw):
+    j = draw(st.integers(min_value=2, max_value=3))
+    rows = draw(st.integers(min_value=1, max_value=6))
+    coordinate = st.integers(min_value=-2**40, max_value=2**40)
+    z = draw(st.lists(st.lists(coordinate, min_size=j, max_size=j), min_size=rows, max_size=rows))
+    return np.array(z, dtype=float)
+
+
+@given(stacked_points(), st.integers(min_value=0, max_value=2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_stacked_weights_score_each_row_as_its_own_scalarizer(z, seed):
+    # moead_update scores a scope with one scalarizer over its stacked
+    # weights: row r must have the float bytes of a scalarizer bound to
+    # weight r alone, through `value` and `__call__`, for every kind, with
+    # and without range normalization, on one point per row and on a single
+    # point broadcast to every row
+    rng = np.random.default_rng(seed)
+    rows, j = z.shape
+    weights = [draw_random_weight(j, rng) for _ in range(rows)]
+    if seed % 3 == 0:  # lattice weights with zero components, as in the engine
+        lattice = generate_uniform_weights(j, 4)
+        weights = [lattice[i] for i in rng.integers(len(lattice), size=rows)]
+    ref = tuple(float(v) for v in z.min(axis=0) - rng.integers(0, 3, size=j))
+    lows = z.min(axis=0) - rng.uniform(0, 10, size=j)
+    ranges = ObjectiveRanges(tuple(lows.tolist()), tuple((z.max(axis=0) + rng.uniform(1, 10, size=j)).tolist()))
+    specs = (
+        ScalarizerSpec("linear"),
+        ScalarizerSpec("chebycheff"),
+        ScalarizerSpec("mixed", w_linear=float(rng.random())),
+        ScalarizerSpec("mixed", w_linear=0.0),
+        ScalarizerSpec("mixed", w_linear=1.0),
+    )
+    for spec in specs:
+        for transform in (None, ranges.normalize):
+            stacked = Scalarizer(weights, spec, ref, transform)
+            per_row, broadcast = stacked.value(z), stacked.value(z[0])
+            assert per_row.shape == broadcast.shape == (rows,)
+            for r, w in enumerate(weights):
+                single = Scalarizer(w, spec, ref, transform)
+                assert bits(per_row[r]) == bits(single.value(z[r])) == bits(single(z[r])), (spec, r)
+                assert bits(broadcast[r]) == bits(single(z[0])), (spec, r)
+
+
+def test_stacked_weights_must_agree_on_dimension():
+    with pytest.raises(ValueError, match="stacked weight vectors disagree on dimension"):
+        Scalarizer([WeightVector((0.5, 0.5)), WeightVector((0.2, 0.3, 0.5))], ScalarizerSpec("linear"))
+    with pytest.raises(ValueError, match="reference point and weights disagree on dimension"):
+        Scalarizer([WeightVector((0.5, 0.5))] * 2, ScalarizerSpec("chebycheff"), (0.0, 0.0, 0.0))

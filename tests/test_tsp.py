@@ -435,6 +435,30 @@ def test_move_list_scalarizes_like_the_dense_path():
         assert vals[valid].tobytes() == dense[flat[valid]].tobytes(), case
 
 
+def test_move_lists_share_the_read_only_index_arrays_of_their_lists():
+    # every list search of a run builds its `_MoveList` from one
+    # `CandidateLists`: the pair, own-edge and position indices are built
+    # once and shared read-only; only the per-search buffers are new
+    rng = np.random.default_rng(44)
+    inst = random_instance(30, 3, rng)
+    lists = build_candidate_lists([random_tour(inst, rng) for _ in range(4)])
+    specs = (ScalarizerSpec("linear"), ScalarizerSpec("chebycheff"))
+    first, second = (_MoveList(inst, Scalarizer((0.2, 0.3, 0.5), spec, (0.0, 0.0, 0.0)), lists) for spec in specs)
+    for name in ("pa", "pc", "positions", "before"):
+        shared = getattr(first, name)
+        assert shared is getattr(second, name), name
+        assert not shared.flags.writeable, name
+    own = lists.own_edges
+    assert own is lists.own_edges and not own.flags.writeable
+    half = first.pa.size // 2
+    assert np.array_equal(own, np.tile(first.pa[:half] * 30 + first.pc[:half], 2))
+    assert np.shares_memory(first.bias, second.bias) and not first.bias.flags.writeable
+    for name in ("pos2", "nb2"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+    for c, fixed in zip(inst.costs, second.fixed):
+        assert np.array_equal(fixed, c.ravel()[own])
+
+
 def test_dpx_identical_parents_returns_copy():
     rng = np.random.default_rng(0)
     p = np.array([3, 1, 4, 0, 2])
