@@ -208,10 +208,10 @@ def _eval(args) -> int:
             raise ValueError("--z-ref/--hv-ref apply to --ref-mode explicit only")
         z_ref, hv_ref = union_reference_points(point_sets)
     weights = r_weight_set(n_objectives, args.r_weights)
+    # score every archive first, so that a bad reference prints no header
+    scores = [(r_measure(points, weights, z_ref), hypervolume(points, hv_ref)) for points in point_sets]
     print("archive,points,R,HV")
-    for path, points in zip(args.archive, point_sets):
-        r = r_measure(points, weights, z_ref)
-        hv = hypervolume(points, hv_ref)
+    for path, points, (r, hv) in zip(args.archive, point_sets, scores):
         print(f"{path},{len(points)},{format(r, '.6g')},{format(hv, '.6g')}")
     return 0
 

@@ -62,6 +62,13 @@ def _as_matrix(points, name: str) -> np.ndarray:
     return mat
 
 
+def _as_reference(reference: ObjectivePoint) -> np.ndarray:
+    ref = np.asarray(tuple(reference), dtype=float)
+    if not np.isfinite(ref).all():
+        raise ValueError(f"reference contains non-finite values: {tuple(ref.tolist())}")
+    return ref
+
+
 @cache
 def r_weight_set(n_objectives: int, count: int | None = None) -> np.ndarray:
     """The uniform weight set evaluating the R measure, as a read-only (K, J)
@@ -87,7 +94,7 @@ def r_measure(points, weights: np.ndarray, reference: ObjectivePoint) -> float:
     lam = np.asarray(weights, dtype=float)
     if lam.size == 0:
         raise ValueError("weights must be nonempty")
-    ref = np.asarray(tuple(reference), dtype=float)
+    ref = _as_reference(reference)
     if lam.ndim != 2 or lam.shape[1] != mat.shape[1] or ref.shape != (mat.shape[1],):
         raise ValueError("points, weights and reference disagree on objective count")
     cols = np.ascontiguousarray((mat - ref).T)
@@ -116,7 +123,7 @@ def _staircase_area(pts: np.ndarray, ref: np.ndarray) -> float:
 def hypervolume(points, reference: ObjectivePoint) -> float:
     """Exact hypervolume dominated by `points` up to `reference` (2 or 3 objectives)."""
     mat = _as_matrix(points, "points")
-    ref = np.asarray(tuple(reference), dtype=float)
+    ref = _as_reference(reference)
     n_obj = mat.shape[1]
     if n_obj not in (2, 3):
         raise ValueError(f"hypervolume supports 2 or 3 objectives, got {n_obj}")

@@ -112,11 +112,13 @@ class CandidateLists:
     are read as given.  Every id must be a city 0..n-1, n = len(members);
     others are rejected here.
 
-    `two_opt_local_search` with lists scores only the moves built from their
-    directed pairs (`pairs`, built once per lists object, so a run that
-    shares one `CandidateLists` across its local searches builds them once),
-    and follows bit for bit the trajectory of the full scan masked by the
-    lists.
+    `two_opt_local_search` with lists follows bit for bit the trajectory of
+    the full scan masked by the lists.  Sparse lists score only the moves
+    built from their P directed pairs (`pairs`, `own_edges`); lists with
+    more than n²/2 moves (n² under a scalarizer other than the plain linear
+    one) take the dense scan masked by `bias`.  Each of these arrays is
+    built once per lists object and read-only, so a run that shares one
+    `CandidateLists` across its local searches builds it once.
     """
 
     members: tuple[frozenset[int], ...]
@@ -165,6 +167,14 @@ class CandidateLists:
         own.setflags(write=False)
         return own
 
+    @cached_property
+    def bias(self) -> np.ndarray:
+        """(n, n) float, 0.0 where c is in cand(a) and inf elsewhere
+        (read-only): the candidate mask of the masked dense scan."""
+        bias = np.where(self.matrix(), 0.0, np.inf)
+        bias.setflags(write=False)
+        return bias
+
 
 def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
     """Union of tour adjacencies over the given tours: c is in cand(a) when
@@ -200,6 +210,40 @@ def _invalid_bias(n: int) -> np.ndarray:
     bias = np.where(_invalid_pairs(n), np.inf, 0.0)
     bias.setflags(write=False)
     return bias
+
+
+@lru_cache(maxsize=128)
+def _padded_bias(n: int) -> np.ndarray:
+    """`_invalid_bias(n)` in rows of stride n+1, the pad column inf: the
+    flat n*(n+1) bias of `_DenseMoves`; read-only, one array per n."""
+    bias = np.full((n, n + 1), np.inf)
+    bias[:, :n] = _invalid_bias(n)
+    bias = bias.ravel()
+    bias.setflags(write=False)
+    return bias
+
+
+class _TourOrder:
+    """A reused buffer holding a matrix in tour order with row stride n+1.
+
+    After `gather(m, te)`, flat[i*(n+1) + k] = m[te[i], te[k]] for i, k in
+    0..n (te closed: te[n] == te[0]), and the last entry is a pad.  The
+    stride puts m[te[i+1], te[k+1]] n+2 entries after m[te[i], te[k]], so
+    `first[f]` and `second[f]`, f = i*(n+1) + k < n*(n+1), are the two
+    edges that move (i, k) adds.
+    """
+
+    def __init__(self, n: int, dtype: np.dtype):
+        self.flat = np.zeros((n + 1) ** 2 + 1, dtype=dtype)
+        self.square = self.flat[:-1].reshape(n + 1, n + 1)
+        self.rows = np.empty((n + 1, n), dtype=dtype)
+        self.first, self.second = self.flat[: n * (n + 1)], self.flat[n + 2 :]
+
+    def gather(self, m: np.ndarray, te: np.ndarray) -> None:
+        # mode="clip" is safe only because `_check_tour` has validated the
+        # ids; with the default mode numpy writes through a buffer
+        m.take(te, axis=0, out=self.rows, mode="clip")
+        self.rows.take(te, axis=1, out=self.square, mode="clip")
 
 
 @lru_cache(maxsize=128)
@@ -262,32 +306,74 @@ class _Moves:
 
 
 class _DenseMoves(_Moves):
-    """Every position pair (i, k): the search without candidate lists.
+    """Every position pair (i, k): the search without candidate lists, and
+    the masked scan for lists that list many moves (see `_moves`).
 
-    A step gathers each matrix once into tour order, p[i, k] = m[te[i],
-    te[k]], and reads every exchange's delta from it.  A cached 0/inf bias,
-    inf where `_invalid_pairs` marks the pair, is added last to the
-    scalarized values: x + 0.0 == x, so each valid move keeps its bits and
-    every other pair reads inf.
+    A step gathers each matrix into tour order (`_TourOrder`, one flat
+    buffer of row stride n+1, reused across steps) and scores the moves in
+    n rows of n+1 entries, column n a pad: one contiguous add of the two
+    added edges, then the removed edges subtracted through a padded row of
+    length n+1 (its pad 0), per row and per column.  A cached 0/inf bias
+    (`_padded_bias`), inf where `_invalid_pairs` marks the pair and on the
+    pad column, is added to the scalarized values: x + 0.0 == x, so each
+    valid move keeps its bits and every other entry reads inf.
+
+    With a candidate bias (`CandidateLists.bias`: 0 where c is in cand(a),
+    inf elsewhere), each step also gathers it into tour order with the same
+    offsets.  `np.minimum` of a move's two added edges reads 0 exactly when
+    c is in cand(a) or d is in cand(b), and this mask is added last; every
+    allowed move keeps the bits the move list gives it.
+
+    The arrays that `values` and `best` read are reused: a returned view is
+    valid only until the next call.
     """
 
-    def __init__(self, instance: TspInstance, scalarizer: Scalarizer):
+    def __init__(self, instance: TspInstance, scalarizer: Scalarizer, candidate_bias: np.ndarray | None = None):
         super().__init__(instance, scalarizer)
-        self.bias = _invalid_bias(self.n)
+        n = self.n
+        self.bias = _padded_bias(n)
+        self.order = _TourOrder(n, self.costs[0].dtype)
+        self.diagonal = self.order.square.diagonal(1)  # p[i, i+1]: the edge leaving position i
+        self.removed = np.zeros(n + 1, dtype=self.costs[0].dtype)
+        self.removed_head, self.removed_col = self.removed[:n], self.removed[:n, None]
+        self.deltas = [np.empty(n * (n + 1), dtype=c.dtype) for c in self.costs]
+        self.grids = [d.reshape(n, n + 1) for d in self.deltas]
+        self.candidate_bias = candidate_bias
+        if candidate_bias is not None:
+            self.mask_order = _TourOrder(n, candidate_bias.dtype)
+            self.mask = np.empty(n * (n + 1))
+
+    def _values(self, te: np.ndarray, point: list[int], value: float) -> np.ndarray:
+        """The values in padded rows: move (i, k) at i*(n+1) + k."""
+        order = self.order
+        for c, d, grid in zip(self.costs, self.deltas, self.grids):
+            order.gather(c, te)
+            np.add(order.first, order.second, out=d)
+            np.copyto(self.removed_head, self.diagonal)
+            grid -= self.removed_col
+            grid -= self.removed
+        vals = self._scalarize(self.deltas, point, value)
+        vals += self.bias
+        if self.candidate_bias is not None:
+            masks = self.mask_order
+            masks.gather(self.candidate_bias, te)
+            np.minimum(masks.first, masks.second, out=self.mask)
+            vals += self.mask
+        return vals
 
     def values(self, te: np.ndarray, point: list[int], value: float) -> np.ndarray:
         """The (n, n) value of every move (i, k), inf where `_invalid_pairs`
-        marks it."""
-        deltas = [_exchange_deltas(c.take(te, axis=0).take(te, axis=1)) for c in self.costs]
-        vals = self._scalarize(deltas, point, value)
-        vals += self.bias
-        return vals
+        marks it or the candidate bias masks it; a view of a reused array."""
+        n = self.n
+        return self._values(te, point, value).reshape(n, n + 1)[:, :n]
 
     def best(self, te: np.ndarray, point: list[int], value: float) -> tuple[int, float]:
-        """The best move's flat index i*n + k and its value."""
-        vals = self.values(te, point, value)
-        flat = int(vals.argmin())
-        return flat, vals.item(flat)
+        """The best move's flat index i*n + k and its value; ties go to the
+        lowest i*n + k, since the pad column reads inf."""
+        vals = self._values(te, point, value)
+        at = int(vals.argmin())
+        i, k = divmod(at, self.n + 1)
+        return i * self.n + k, vals.item(at)
 
 
 class _MoveList(_Moves):
@@ -349,6 +435,28 @@ class _MoveList(_Moves):
         return min(flat[vals == best].tolist()), best
 
 
+def _moves(instance: TspInstance, scalarizer: Scalarizer, candidates: CandidateLists | None) -> _Moves:
+    """The scorer of one search, chosen from the lists, n and the scalarizer.
+
+    Without lists, the dense scan.  With lists of P directed pairs, 2P
+    listed moves: the masked dense scan, n*(n+1) entries per step, when 2P
+    exceeds n²/2 under the plain linear scalarizer or n² under any other,
+    whose per-entry cost is higher; else the move list.  Per step (2 cores,
+    numpy 2.4): under the plain linear scalarizer the masked scan costs
+    0.74-0.97 of the list at 2P = n²/2 for n = 20..100, and at 2P = 3n²/8
+    wins up to n = 50 and loses from n = 70 (1.14-1.27); under chebycheff
+    and mixed it costs 0.93-1.23 of the list at 2P = n²/2 (more than the
+    list in 11 of 12 cases, n = 20..50) and 0.71-0.94 at 2P = n².
+    """
+    if candidates is None:
+        return _DenseMoves(instance, scalarizer)
+    n = instance.n
+    listed = candidates.pairs[0].size
+    if (2 * listed if scalarizer.is_plain_linear else listed) > n * n:
+        return _DenseMoves(instance, scalarizer, candidates.bias)
+    return _MoveList(instance, scalarizer, candidates)
+
+
 def two_opt_local_search(
     instance: TspInstance,
     tour: Sequence[int],
@@ -364,11 +472,13 @@ def two_opt_local_search(
     second <b,d> has d in cand(b), are allowed.
 
     Without lists (the engine's initial phase) a step scores all n² position
-    pairs.  With lists it scores only the moves built from the lists'
-    directed pairs, about 2 per pair; lists with no pairs make every tour a
-    local optimum.  Both paths give every move the same float value, from
-    the same elementwise operations in the same order, and pick the same
-    move: the minimum, ties to the lowest position pair (i, k) in row-major
+    pairs.  With lists that give few moves it scores only the moves built
+    from the lists' directed pairs, 2 per pair; lists with no pairs make
+    every tour a local optimum.  Lists that give many moves (see `_moves`
+    for the switch, which nothing else sets) take the dense scan masked by
+    the lists.  Every path gives every move the same float value, from the
+    same elementwise operations in the same order, and picks the same move:
+    the minimum, ties to the lowest position pair (i, k) in row-major
     order.  So a search with lists follows, bit for bit, the trajectory of
     the dense scan masked by the lists.  The exact integer objective point
     is updated by the chosen move's integer deltas.
@@ -386,7 +496,7 @@ def two_opt_local_search(
     value = scalarizer(point)
     if value_trace is not None:
         value_trace.append(value)
-    moves = _DenseMoves(instance, scalarizer) if candidates is None else _MoveList(instance, scalarizer, candidates)
+    moves = _moves(instance, scalarizer, candidates)
     while True:
         flat, best = moves.best(te, point, value)
         if not best < value - IMPROVEMENT_EPS:

@@ -233,6 +233,14 @@ def test_eval_rejects_unscorable_archives(tmp_path, capsys):
         (["--archive", str(two), str(four), "--ref-mode", "explicit",
           "--z-ref", "0", "0", "--hv-ref", "9", "9"], "got [2, 4]"),
         (["--archive", str(empty)], "empty.csv: archive file holds no points"),
+        # R read nan and HV inf, and the run exited 0
+        (["--archive", str(two), "--ref-mode", "explicit",
+          "--z-ref", "nan", "0", "--hv-ref", "1e9", "1e9"], "reference contains non-finite values: (nan, 0.0)"),
+        (["--archive", str(two), "--ref-mode", "explicit",
+          "--z-ref", "0", "0", "--hv-ref", "inf", "1e9"], "reference contains non-finite values: (inf, 1000000000.0)"),
+        # failed only after the header was printed
+        (["--archive", str(two), "--ref-mode", "explicit",
+          "--z-ref", "0", "0", "--hv-ref", "1", "1"], "every point must strictly dominate the reference"),
     ):
         assert run_cli("eval", *argv) == 1
         captured = capsys.readouterr()

@@ -236,6 +236,10 @@ def test_r_measure_validation():
         r_measure([(1.0, 2.0)], np.empty((0, 2)), (0.0, 0.0))
     with pytest.raises(ValueError):
         r_measure([(1.0, 2.0)], np.array([(0.5, 0.5)]), (0.0, 0.0, 0.0))
+    # a non-finite reference used to score nan or inf
+    for ref in ((np.nan, 0.0), (0.0, -np.inf), (np.inf, 0.0)):
+        with pytest.raises(ValueError, match="reference contains non-finite values"):
+            r_measure([(1.0, 2.0)], np.array([(0.5, 0.5)]), ref)
 
 
 def test_hypervolume_hand_examples():
@@ -288,6 +292,10 @@ def test_hypervolume_validation():
         hypervolume([(0.0, 0.0, 0.0, 0.0)], (1.0, 1.0, 1.0, 1.0))
     with pytest.raises(ValueError):
         hypervolume([], (1.0, 1.0))
+    # an infinite reference used to give an infinite volume
+    for ref in ((np.inf, 1e9), (1e9, 1e9, np.inf), (np.nan, 1e9)):
+        with pytest.raises(ValueError, match="reference contains non-finite values"):
+            hypervolume([(0.0, 0.0, 0.0)[: len(ref)]], ref)
 
 
 def test_union_reference_points():

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from moscal import tspwp
+from moscal import tsp, tspwp
 from moscal.engine import IMPROVEMENT_EPS, MethodConfig, run_method
 from moscal.scalarizing import Scalarizer, ScalarizerSpec
 from moscal.tsp import (
@@ -14,7 +14,9 @@ from moscal.tsp import (
     _DenseMoves,
     _MoveList,
     _exchange_deltas,
+    _invalid_bias,
     _invalid_pairs,
+    _padded_bias,
     build_candidate_lists,
     dpx_recombine,
     random_tour,
@@ -325,7 +327,36 @@ def assert_follows_frozen_oracle(inst, start, s, lists, case):
     assert trace == expected_trace, case
 
 
-def test_two_opt_matches_frozen_dense_oracle():
+def record_paths(monkeypatch):
+    """The path each search takes, in call order, with its scalarizer kind:
+    "dense" (no lists), "masked" (the dense scan masked by the lists) or
+    "list"."""
+    taken = []
+    choose = tsp._moves
+
+    def recording(instance, scalarizer, candidates):
+        moves = choose(instance, scalarizer, candidates)
+        if isinstance(moves, _MoveList):
+            path = "list"
+        else:
+            path = "dense" if moves.candidate_bias is None else "masked"
+        taken.append((path, scalarizer.spec.kind))
+        return moves
+
+    monkeypatch.setattr(tsp, "_moves", recording)
+    return taken
+
+
+def directed_lists(n, count, rng):
+    """Lists of exactly `count` directed pairs (a, c), a != c, drawn at random."""
+    off_diagonal = np.flatnonzero(~np.eye(n, dtype=bool))
+    listed = np.zeros(n * n, dtype=bool)
+    listed[rng.choice(off_diagonal, size=count, replace=False)] = True
+    return CandidateLists(tuple(frozenset(np.flatnonzero(row).tolist()) for row in listed.reshape(n, n)))
+
+
+def test_two_opt_matches_frozen_dense_oracle(monkeypatch):
+    taken = record_paths(monkeypatch)
     rng = np.random.default_rng(2002)
     kinds = ("linear", "chebycheff", "mixed")
     list_kinds = ("none", "tours", "asymmetric")
@@ -366,6 +397,36 @@ def test_two_opt_matches_frozen_dense_oracle():
         s = scalarizer(kinds[case % 3], n_obj)
         for start in (random_tour(inst, rng), dpx_recombine(optima[0], optima[1], rng)):
             assert_follows_frozen_oracle(inst, start, s, lists, ("optima", case))
+    # dense lists take the masked scan: from many tours, or random directed
+    # pairs, on tie-heavy costs under every scalarizer kind
+    for case in range(36):
+        n = int(rng.integers(5, 41))
+        n_obj = int(rng.integers(2, 4))
+        inst = small_int_instance(n, n_obj, rng, high=int(rng.choice([3, 10])))
+        s = scalarizer(kinds[case % 3], n_obj)
+        if case % 2:
+            lists = build_candidate_lists([random_tour(inst, rng) for _ in range(n)])
+        else:
+            lists = directed_lists(n, int(rng.integers(n * n // 2 + 1, n * (n - 1) + 1)), rng)
+        assert_follows_frozen_oracle(inst, random_tour(inst, rng), s, lists, ("dense lists", case))
+    # just either side of the switch: the scan is masked when the lists give
+    # more than n²/2 moves (two per directed pair) under the plain linear
+    # scalarizer, more than n² under the others
+    for case in range(24):
+        n = 2 * int(rng.integers(3, 21))
+        n_obj = int(rng.integers(2, 4))
+        inst = small_int_instance(n, n_obj, rng)
+        kind = kinds[case % 3]
+        s = scalarizer(kind, n_obj)
+        switch = n * n // 4 if kind == "linear" else n * n // 2  # directed pairs
+        for count, path in ((switch, "list"), (switch + 1, "masked")):
+            lists = directed_lists(n, count, rng)
+            assert_follows_frozen_oracle(inst, random_tour(inst, rng), s, lists, ("switch", case, count))
+            assert taken[-1] == (path, kind), ("switch", case, count)
+    counts = Counter(taken)
+    for path in ("dense", "masked", "list"):
+        for kind in kinds:
+            assert counts[path, kind] >= 20, counts
 
 
 def test_exchange_deltas_keep_summation_order():
@@ -389,7 +450,8 @@ def test_exchange_deltas_keep_summation_order():
         swapped = ((p[:-1, :-1] + p[1:, 1:]) - removed[None, :]) - removed[:, None]
         reordered += swapped.tobytes() != expected.tobytes()
 
-        moves = _MoveList(inst, s, build_candidate_lists([random_tour(inst, rng) for _ in range(3)]))
+        lists = build_candidate_lists([random_tour(inst, rng) for _ in range(3)])
+        moves = _MoveList(inst, s, lists)
         point = np.array([c[t, te[1:]].sum() for c in inst.costs])
         flat, deltas = moves.values(te, point, 0.0)
         valid = ~_invalid_pairs(n).ravel()[flat]
@@ -407,6 +469,15 @@ def test_exchange_deltas_keep_summation_order():
         assert dense_vals[~invalid].tobytes() == (expected + value)[~invalid].tobytes()
         best_flat, best = dense.best(te, point, value)
         assert best_flat == int(np.argmin(dense_vals)) and best == dense_vals.flat[best_flat]
+        # the masked scan: the dense bits on the moves the lists allow, inf elsewhere
+        cand = lists.matrix()
+        allowed = ~invalid & (cand[te[:-1]][:, te[:-1]] | cand[te[1:]][:, te[1:]])
+        masked = _DenseMoves(inst, s, lists.bias)
+        masked_vals = masked.values(te, point, value)
+        assert np.isinf(masked_vals[~allowed]).all()
+        assert masked_vals[allowed].tobytes() == dense_vals[allowed].tobytes()
+        best_flat, best = masked.best(te, point, value)
+        assert best_flat == int(np.argmin(masked_vals)) and best == masked_vals.flat[best_flat]
     assert reordered >= 15  # the inputs do tell the two orders apart
     assert listed_reordered >= 10  # also on the moves the lists allow
 
@@ -436,9 +507,10 @@ def test_move_list_scalarizes_like_the_dense_path():
 
 
 def test_move_lists_share_the_read_only_index_arrays_of_their_lists():
-    # every list search of a run builds its `_MoveList` from one
-    # `CandidateLists`: the pair, own-edge and position indices are built
-    # once and shared read-only; only the per-search buffers are new
+    # every list search of a run builds its `_MoveList` or masked
+    # `_DenseMoves` from one `CandidateLists`: the pair, own-edge and
+    # position indices and the candidate bias are built once and shared
+    # read-only; only the per-search buffers are new
     rng = np.random.default_rng(44)
     inst = random_instance(30, 3, rng)
     lists = build_candidate_lists([random_tour(inst, rng) for _ in range(4)])
@@ -457,6 +529,22 @@ def test_move_lists_share_the_read_only_index_arrays_of_their_lists():
         assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
     for c, fixed in zip(inst.costs, second.fixed):
         assert np.array_equal(fixed, c.ravel()[own])
+    # the masked scan shares its lists' candidate bias, and every dense scan
+    # the padded bias of its n; only the step buffers are per search
+    bias = lists.bias
+    assert bias is lists.bias and not bias.flags.writeable
+    assert np.array_equal(bias == 0.0, lists.matrix()) and np.isinf(bias[bias != 0.0]).all()
+    first, second = (_DenseMoves(inst, Scalarizer((0.2, 0.3, 0.5), spec, (0.0, 0.0, 0.0)), bias) for spec in specs)
+    padded = _padded_bias(30)
+    assert padded is _padded_bias(30) and not padded.flags.writeable
+    assert first.candidate_bias is second.candidate_bias is bias
+    assert first.bias is second.bias is padded
+    grid = padded.reshape(30, 31)
+    assert np.isinf(grid[:, 30]).all()  # the pad column
+    assert np.array_equal(grid[:, :30], _invalid_bias(30))
+    for name in ("removed", "mask"):
+        assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
+    assert not np.shares_memory(first.order.flat, second.order.flat)
 
 
 def test_dpx_identical_parents_returns_copy():
