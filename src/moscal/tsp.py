@@ -115,10 +115,10 @@ class CandidateLists:
     `two_opt_local_search` with lists follows bit for bit the trajectory of
     the full scan masked by the lists.  Sparse lists score only the moves
     built from their P directed pairs (`pairs`, `own_edges`); lists with
-    more than n²/2 moves (n² under a scalarizer other than the plain linear
-    one) take the dense scan masked by `bias`.  Each of these arrays is
-    built once per lists object and read-only, so a run that shares one
-    `CandidateLists` across its local searches builds it once.
+    more than n²/2 moves take the dense scan masked by `bias`.  Each of
+    these arrays is built once per lists object and read-only, so a run
+    that shares one `CandidateLists` across its local searches builds it
+    once.
     """
 
     members: tuple[frozenset[int], ...]
@@ -436,23 +436,19 @@ class _MoveList(_Moves):
 
 
 def _moves(instance: TspInstance, scalarizer: Scalarizer, candidates: CandidateLists | None) -> _Moves:
-    """The scorer of one search, chosen from the lists, n and the scalarizer.
+    """The scorer of one search, chosen from the lists and n.
 
     Without lists, the dense scan.  With lists of P directed pairs, 2P
     listed moves: the masked dense scan, n*(n+1) entries per step, when 2P
-    exceeds n²/2 under the plain linear scalarizer or n² under any other,
-    whose per-entry cost is higher; else the move list.  Per step (2 cores,
-    numpy 2.4): under the plain linear scalarizer the masked scan costs
-    0.74-0.97 of the list at 2P = n²/2 for n = 20..100, and at 2P = 3n²/8
-    wins up to n = 50 and loses from n = 70 (1.14-1.27); under chebycheff
-    and mixed it costs 0.93-1.23 of the list at 2P = n²/2 (more than the
-    list in 11 of 12 cases, n = 20..50) and 0.71-0.94 at 2P = n².
+    exceeds n²/2; else the move list.  Per step under the plain linear
+    scalarizer (2 cores, numpy 2.4), the masked scan costs 0.74-0.97 of the
+    list at 2P = n²/2 for n = 20..100, and at 2P = 3n²/8 it wins up to
+    n = 50 and loses from n = 70.
     """
     if candidates is None:
         return _DenseMoves(instance, scalarizer)
     n = instance.n
-    listed = candidates.pairs[0].size
-    if (2 * listed if scalarizer.is_plain_linear else listed) > n * n:
+    if 2 * candidates.pairs[0].size > n * n:
         return _DenseMoves(instance, scalarizer, candidates.bias)
     return _MoveList(instance, scalarizer, candidates)
 

@@ -410,16 +410,14 @@ def test_two_opt_matches_frozen_dense_oracle(monkeypatch):
             lists = directed_lists(n, int(rng.integers(n * n // 2 + 1, n * (n - 1) + 1)), rng)
         assert_follows_frozen_oracle(inst, random_tour(inst, rng), s, lists, ("dense lists", case))
     # just either side of the switch: the scan is masked when the lists give
-    # more than n²/2 moves (two per directed pair) under the plain linear
-    # scalarizer, more than n² under the others
+    # more than n²/2 moves, two per directed pair
     for case in range(24):
         n = 2 * int(rng.integers(3, 21))
         n_obj = int(rng.integers(2, 4))
         inst = small_int_instance(n, n_obj, rng)
         kind = kinds[case % 3]
         s = scalarizer(kind, n_obj)
-        switch = n * n // 4 if kind == "linear" else n * n // 2  # directed pairs
-        for count, path in ((switch, "list"), (switch + 1, "masked")):
+        for count, path in ((n * n // 4, "list"), (n * n // 4 + 1, "masked")):
             lists = directed_lists(n, count, rng)
             assert_follows_frozen_oracle(inst, random_tour(inst, rng), s, lists, ("switch", case, count))
             assert taken[-1] == (path, kind), ("switch", case, count)
