@@ -3,7 +3,7 @@
 Every method runs one loop of K + G*K iterations (K initial, then the main
 phase).  Iteration t takes a weight vector, builds a starting solution,
 local-searches it under that weight, and updates the reference point and the
-Pareto archive.  The methods differ only in two rules:
+Pareto archive with the returned pair.  The methods differ only in two rules:
 
     weight rule   random: a fresh uniform draw from the simplex (momsls, mogls)
                   uniform: lattice[t % K] (umogls, moead)
@@ -13,7 +13,7 @@ Pareto archive.  The methods differ only in two rules:
                   (moead, which then updates the incumbents it mated from)
 
 After iteration K-1 the adapter's `end_initial_phase` sees the K initial
-local-search results.
+local optima.
 """
 
 from __future__ import annotations
@@ -63,6 +63,22 @@ def check_exact_integers(bound: int, what: str) -> None:
         raise ValueError(f"{what} is {bound}, at or above 2**53, where float objectives skip integers")
 
 
+def integer_ids(seq: Sequence[int], what: str, noun: str) -> np.ndarray:
+    """A 1-D int or float array of integer ids; a ValueError names the first
+    id that is not a finite integer.  Int arrays take no per-element pass."""
+    t = np.asarray(seq)
+    if t.ndim != 1:
+        raise ValueError(f"{what} must be a flat sequence of {noun} ids")
+    if t.dtype.kind in "iu":
+        return t
+    if t.dtype.kind != "f":
+        raise ValueError(f"{what} must hold integer {noun} ids, not {t.dtype}")
+    fractional = np.flatnonzero((t != np.floor(t)) | np.isinf(t))
+    if fractional.size:
+        raise ValueError(f"{what} holds id {t[fractional[0]]}, which is not an integer {noun} id")
+    return t
+
+
 class ProblemAdapter:
     """Per-run adapter a problem exposes to the engine.
 
@@ -82,14 +98,15 @@ class ProblemAdapter:
     def evaluate(self, solution: Any) -> ObjectivePoint:
         raise NotImplementedError
 
-    def local_search(self, solution: Any, scalarizer: Scalarizer) -> Any:
+    def local_search(self, solution: Any, scalarizer: Scalarizer) -> ArchiveEntry:
+        """(local optimum, its objective point), the point equal to `evaluate` of the optimum."""
         raise NotImplementedError
 
     def recombine(self, parent_a: Any, parent_b: Any, rng: np.random.Generator) -> Any:
         raise NotImplementedError
 
     def end_initial_phase(self, solutions: Sequence[Any]) -> None:
-        """Called once with the local-search results of the initial phase."""
+        """Called once with the local optima of the initial phase."""
 
     def scalarizing_transform(self) -> Callable[[np.ndarray], np.ndarray] | None:
         """Map from raw objective points into scalarization space, or None for
@@ -341,18 +358,17 @@ def run_method(config: MethodConfig, problem: ProblemAdapter) -> RunResult:
             else:
                 pa = pb = archive.entry(0)
             x0 = problem.recombine(pa[0], pb[0], rngs["recombine"])
-        x = problem.local_search(x0, s)
-        z = problem.evaluate(x)
+        entry = x, z = problem.local_search(x0, s)
         reference = np.minimum(reference, image(z))
         archive.update(x, z)
         if t < k:
             initial_solutions.append(x)
             if state is not None:
-                state.incumbents[t] = (x, z)
+                state.incumbents[t] = entry
             if t == k - 1:
                 problem.end_initial_phase(initial_solutions)
         elif state is not None:
             moead_update(
-                state, (x, z), scope, spec, config.max_replacements, rngs["select"], reference, transform
+                state, entry, scope, spec, config.max_replacements, rngs["select"], reference, transform
             )
     return RunResult(archive, n_iterations, time.perf_counter() - t0)

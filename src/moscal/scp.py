@@ -31,7 +31,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_ids
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -113,9 +113,11 @@ class ScpInstance:
 
 
 def _as_columns(instance: ScpInstance, solution: Iterable[int]) -> np.ndarray:
-    cols = np.asarray(sorted(solution), dtype=np.int64)
+    cols = integer_ids(sorted(solution), "solution", "column")
     if cols.size and (cols[0] < 0 or cols[-1] >= instance.n_columns):
-        raise ValueError("column index out of range")
+        bad = cols[0] if cols[0] < 0 else cols[-1]
+        raise ValueError(f"solution holds id {bad}, outside the columns 0..{instance.n_columns - 1}")
+    cols = cols.astype(np.int64, copy=False)
     if cols.size != len(set(cols.tolist())):
         raise ValueError("duplicate column in solution")
     return cols
@@ -217,7 +219,7 @@ def scp_local_search(
     solution: Iterable[int],
     scalarizer: Scalarizer,
     value_trace: list[float] | None = None,
-) -> CoverSolution:
+) -> tuple[CoverSolution, ObjectivePoint]:
     """Steepest-descent removal-and-repair search from a feasible cover.
 
     Each step tentatively removes every selected column in turn, repairs the
@@ -235,7 +237,7 @@ def scp_local_search(
     the argmin of the value increases and the neighbor's value is that of
     the point it picks.  One that uncovers more rows runs the greedy repair,
     whose last insertion gives the neighbor's value.  Costs are integers, so
-    every float point equals `scp_evaluate` of its cover exactly.
+    every point, the returned one too, equals `scp_evaluate` of its cover.
 
     Each removal is held to the bound `best_value - IMPROVEMENT_EPS` of the
     walk at that point.  Its neighbor is the removal's point plus positive
@@ -296,7 +298,7 @@ def scp_local_search(
                 best_value = float(neighbor_value)
                 best = (col, picks)
         if best is None:
-            return current
+            return current, tuple(float(v) for v in chosen.sum(axis=1))
         col, picks = best
         current, value = (current - {col}).union(picks), best_value
         if value_trace is not None:
@@ -359,7 +361,7 @@ class ScpAdapter(ProblemAdapter):
     def evaluate(self, solution: CoverSolution) -> ObjectivePoint:
         return scp_evaluate(self.instance, solution)
 
-    def local_search(self, solution: CoverSolution, scalarizer: Scalarizer) -> CoverSolution:
+    def local_search(self, solution: CoverSolution, scalarizer: Scalarizer) -> ArchiveEntry:
         return scp_local_search(self.instance, solution, scalarizer)
 
     def recombine(

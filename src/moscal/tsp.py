@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_ids
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -68,15 +68,7 @@ class TspInstance:
 def _city_ids(seq: Sequence[int], n: int, what: str) -> np.ndarray:
     """A 1-D int64 array of city ids 0..n-1; a ValueError names the first
     id that is no city: outside 0..n-1, or not an integer."""
-    t = np.asarray(seq)
-    if t.ndim != 1:
-        raise ValueError(f"{what} must be a flat sequence of city ids")
-    if t.dtype.kind not in "iuf":
-        raise ValueError(f"{what} must hold integer city ids, not {t.dtype}")
-    if t.dtype.kind == "f":
-        fractional = np.flatnonzero(t != np.floor(t))
-        if fractional.size:
-            raise ValueError(f"{what} holds id {t[fractional[0]]}, which is not an integer city id")
+    t = integer_ids(seq, what, "city")
     if t.size and (t.min() < 0 or t.max() >= n):
         bad = t[(t < 0) | (t >= n)][0]
         raise ValueError(f"{what} holds id {bad}, outside the cities 0..{n - 1}")
@@ -184,9 +176,10 @@ def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
     n = len(tours[0])
     if any(len(tour) != n for tour in tours):
         raise ValueError("tours disagree on city count")
-    stacked = np.asarray(tours, dtype=np.int64)
-    if ((stacked < 0) | (stacked >= n)).any():
-        raise ValueError(f"tours hold a city outside 0..{n - 1}")
+    stacked = _city_ids(np.ravel(tours), n, "tour").reshape(len(tours), n)
+    wrong = np.flatnonzero((np.sort(stacked, axis=1) != np.arange(n)).any(axis=1))
+    if wrong.size:
+        raise ValueError(f"tour {wrong[0]} is not a permutation of the cities 0..{n - 1}")
     nxt = np.roll(stacked, -1, axis=1)
     mask = np.zeros((n, n), dtype=bool)
     mask[np.concatenate((stacked, nxt)), np.concatenate((nxt, stacked))] = True
@@ -459,7 +452,7 @@ def two_opt_local_search(
     scalarizer: Scalarizer,
     candidates: CandidateLists | None = None,
     value_trace: list[float] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, ObjectivePoint]:
     """Steepest-descent 2-opt under a fixed scalarizing function.
 
     Each step scores the nonadjacent edge pairs, applies the best strictly
@@ -477,7 +470,7 @@ def two_opt_local_search(
     the minimum, ties to the lowest position pair (i, k) in row-major
     order.  So a search with lists follows, bit for bit, the trajectory of
     the dense scan masked by the lists.  The exact integer objective point
-    is updated by the chosen move's integer deltas.
+    is updated by the chosen move's integer deltas and returned with the tour.
     """
     t = _check_tour(instance, tour)
     n = instance.n
@@ -505,7 +498,7 @@ def two_opt_local_search(
         value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)
-    return t.copy()
+    return t.copy(), tuple(map(float, point))
 
 
 def _edge_set(tour: np.ndarray) -> set[tuple[int, int]]:
@@ -607,8 +600,7 @@ def dpx_recombine(
     (falling back to parent edges only if repeated attempts dead-end), which
     leaves the offspring at equal edge distance from both parents.
     """
-    pa = np.asarray(parent_a, dtype=np.int64)
-    pb = np.asarray(parent_b, dtype=np.int64)
+    pa, pb = (integer_ids(p, "parent", "city").astype(np.int64, copy=False) for p in (parent_a, parent_b))
     cities = pa.tolist()
     if sorted(cities) != sorted(pb.tolist()):
         raise ValueError("parents must visit the same cities")
@@ -640,7 +632,7 @@ class TspAdapter(ProblemAdapter):
     def evaluate(self, solution: np.ndarray) -> ObjectivePoint:
         return tsp_evaluate(self.instance, solution)
 
-    def local_search(self, solution: np.ndarray, scalarizer: Scalarizer) -> np.ndarray:
+    def local_search(self, solution: np.ndarray, scalarizer: Scalarizer) -> ArchiveEntry:
         return two_opt_local_search(self.instance, solution, scalarizer, self.candidates)
 
     def recombine(self, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator) -> np.ndarray:

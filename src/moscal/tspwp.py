@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ProblemAdapter, check_exact_integers
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
 from .tsp import _city_ids, _common_fragments, _edge_set, _exchange_deltas, _invalid_pairs
 
@@ -141,7 +141,7 @@ def tspwp_local_search(
     subtour: Sequence[int],
     scalarizer: Scalarizer,
     value_trace: list[float] | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, ObjectivePoint]:
     """Steepest descent over four move families.
 
     Per step, the best of: 2-opt edge exchange inside the sub-tour, insertion
@@ -175,9 +175,9 @@ def tspwp_local_search(
     Every row of the array is the exact integer point of its move, with the
     profit -(new total) signed as `tspwp_evaluate` signs it (-0.0 when
     zero), so `value` of the row is the value of the sub-tour the move
-    makes, bit for bit.  Only
-    the start is scored with `scalarizer(point)`; each later step carries
-    the value of the move that led to it.
+    makes, bit for bit.  Only the start is scored with `scalarizer(point)`;
+    each later step carries the value of the move that led to it, and the
+    search returns the last step's point.
     """
     t = _check_subtour(instance, subtour).copy()
     costs, profits = instance.costs, instance.profits
@@ -262,7 +262,7 @@ def tspwp_local_search(
             vals[:2] = block_vals[edge], np.inf
         best = int(vals.argmin())
         if not vals[best] < value - IMPROVEMENT_EPS:
-            break
+            return t, point
         value = float(vals[best])
         if best < ins:
             i, j = divmod(edge, m)
@@ -281,7 +281,6 @@ def tspwp_local_search(
             pos = best - dele
             present[t[pos]] = False
             t = np.concatenate((t[:pos], t[pos + 1 :]))
-    return t
 
 
 def estimate_ranges(instance: TspwpInstance, rng: np.random.Generator) -> ObjectiveRanges:
@@ -295,8 +294,8 @@ def estimate_ranges(instance: TspwpInstance, rng: np.random.Generator) -> Object
     results = []
     for lam in _BOUNDARY_WEIGHTS:
         start = random_subtour(instance, rng)
-        end = tspwp_local_search(instance, start, Scalarizer(lam, _MIXED, tspwp_evaluate(instance, start)))
-        results.append(tspwp_evaluate(instance, end))
+        _, point = tspwp_local_search(instance, start, Scalarizer(lam, _MIXED, tspwp_evaluate(instance, start)))
+        results.append(point)
     pts = np.array(results, dtype=float)
     lows, highs = pts.min(axis=0), pts.max(axis=0)
     span = highs - lows
@@ -308,7 +307,7 @@ def dpx_wp_recombine(
     parent_a: Sequence[int],
     parent_b: Sequence[int],
     rng: np.random.Generator,
-    n_cities: int | None = None,
+    n_cities: int,
 ) -> np.ndarray:
     """Extended distance-preserving crossover for sub-tours.
 
@@ -318,10 +317,7 @@ def dpx_wp_recombine(
     set of cities outside comSet.  Common-edge fragments, isolated common
     nodes and the sampled cities are then chained randomly into a cycle.
     """
-    pa = np.asarray(parent_a, dtype=np.int64)
-    pb = np.asarray(parent_b, dtype=np.int64)
-    if n_cities is None:
-        n_cities = int(max(pa.max(), pb.max())) + 1
+    pa, pb = (_city_ids(p, n_cities, "parent") for p in (parent_a, parent_b))
     nodes_a, nodes_b = set(pa.tolist()), set(pb.tolist())
     if len(nodes_a) != pa.size or len(nodes_b) != pb.size:
         raise ValueError("parents must visit each city at most once")
@@ -373,7 +369,7 @@ class TspwpAdapter(ProblemAdapter):
     def evaluate(self, solution: np.ndarray) -> ObjectivePoint:
         return tspwp_evaluate(self.instance, solution)
 
-    def local_search(self, solution: np.ndarray, scalarizer: Scalarizer) -> np.ndarray:
+    def local_search(self, solution: np.ndarray, scalarizer: Scalarizer) -> ArchiveEntry:
         return tspwp_local_search(self.instance, solution, scalarizer)
 
     def recombine(self, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator) -> np.ndarray:

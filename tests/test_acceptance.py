@@ -530,7 +530,7 @@ def test_criterion_6_local_search_contracts():
     )
     wins = 0
     for _ in range(20):
-        tour = two_opt_local_search(six, random_tour(six, rng), half)
+        tour, _ = two_opt_local_search(six, random_tour(six, rng), half)
         wins += tsp_evaluate(six, tour)[0] == best
     if wins < 15:
         problems.append(f"six-city optimum reached from {wins}/20 starts, wanted >= 15")

@@ -5,6 +5,7 @@ import pytest
 
 from moscal.archive import ParetoArchive
 from moscal.engine import (
+    METHODS,
     MethodConfig,
     MoeadState,
     ProblemAdapter,
@@ -15,11 +16,14 @@ from moscal.engine import (
     tournament_size,
 )
 from moscal.scalarizing import Scalarizer, ScalarizerSpec, generate_uniform_weights
-from moscal.tspwp import ObjectiveRanges
+from moscal.scp import ScpAdapter, ScpInstance
+from moscal.tsp import TspAdapter, TspInstance
+from moscal.tspwp import ObjectiveRanges, TspwpAdapter, TspwpInstance
 
 
 class RecordingProblem(ProblemAdapter):
-    """Engine-contract mock: solutions are 2-D integer points, identity search."""
+    """Engine-contract mock: solutions are 2-D integer points, identity
+    search; counts the `evaluate` calls."""
 
     n_objectives = 2
 
@@ -30,20 +34,26 @@ class RecordingProblem(ProblemAdapter):
         self.ls_outputs = []
         self.recombine_parents = []
         self.initial_phase_calls = []
+        self.evaluate_calls = 0
 
     def random_solution(self, rng):
         v = tuple(int(x) for x in rng.integers(0, 1000, size=2))
         self.constructed.append(v)
         return v
 
-    def evaluate(self, solution):
+    @staticmethod
+    def point(solution):
         return (float(solution[0]), float(solution[1]))
+
+    def evaluate(self, solution):
+        self.evaluate_calls += 1
+        return self.point(solution)
 
     def local_search(self, solution, scalarizer):
         self.weights_seen.append(tuple(scalarizer.weights))
         self.ls_inputs.append(solution)
         self.ls_outputs.append(solution)
-        return solution
+        return solution, self.point(solution)
 
     def recombine(self, parent_a, parent_b, rng):
         self.recombine_parents.append((parent_a, parent_b))
@@ -434,6 +444,67 @@ def test_run_chebycheff_reference_bootstraps():
     assert len(res.archive) >= 1
     # all scalarizers carried the method's weight dimension
     assert all(len(w) == 2 for w in problem.weights_seen)
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_run_evaluates_only_the_first_random_start(method):
+    # the reference point starts from the first random start; every other
+    # point is the one its local search returned
+    problem = RecordingProblem()
+    cfg = MethodConfig(method=method, objectives=2, generations=3, weight_count=5, neighborhood_size=3, seed=6)
+    run_method(cfg, problem)
+    assert len(problem.ls_outputs) == 20
+    assert problem.evaluate_calls == 1
+
+
+def small_adapter(problem, rng):
+    """A fresh adapter on a small random instance of `problem`."""
+    if problem == "mstsp":
+        mats = []
+        for _ in range(2):
+            upper = np.triu(rng.integers(1, 100, size=(12, 12)), 1)
+            mats.append(upper + upper.T)
+        return TspAdapter(TspInstance(tuple(mats)))
+    if problem == "tspwp":
+        upper = np.triu(rng.integers(1, 100, size=(10, 10)), 1)
+        return TspwpAdapter(TspwpInstance(upper + upper.T, rng.integers(0, 30, size=10)))
+    coverage = rng.random((10, 20)) < 0.3
+    coverage[np.arange(10), rng.integers(20, size=10)] = True
+    return ScpAdapter(ScpInstance(rng.integers(1, 40, size=(2, 20)), coverage))
+
+
+@pytest.mark.parametrize("kind", ["linear", "chebycheff", "mixed"])
+@pytest.mark.parametrize("problem", ["mstsp", "tspwp", "moscp"])
+def test_search_points_equal_evaluate_on_every_adapter(problem, kind):
+    # the engine archives each search's point as returned, so on the real
+    # adapters it must be `evaluate` of the search's solution, as float bytes:
+    # mstsp with and without the candidate lists of the main phase, tspwp
+    # under its range normalisation
+    rng = np.random.default_rng(17)
+    listed = []
+    for method in ("mogls", "moead"):
+        adapter = small_adapter(problem, rng)
+        search = adapter.local_search
+        results = []
+
+        def local_search(solution, scalarizer):
+            entry = search(solution, scalarizer)
+            results.append(entry)
+            listed.append(getattr(adapter, "candidates", None) is not None)
+            return entry
+
+        adapter.local_search = local_search
+        cfg = MethodConfig(
+            method=method, objectives=2, generations=2, weight_count=6, neighborhood_size=3,
+            scalarizer=ScalarizerSpec(kind), seed=5,
+        )
+        run_method(cfg, adapter)
+        assert len(results) == 18
+        for solution, point in results:
+            assert type(point) is tuple and all(type(v) is float for v in point)
+            assert np.array(point).tobytes() == np.array(adapter.evaluate(solution)).tobytes()
+    if problem == "mstsp":
+        assert listed.count(True) == listed.count(False) * 2
 
 
 def test_run_rejects_objective_mismatch():

@@ -103,6 +103,35 @@ def test_evaluate_examples():
         scp_evaluate(inst, {0, 5})
 
 
+@pytest.mark.parametrize(
+    "solution, message",
+    [
+        ({1.5}, "solution holds id 1.5, which is not an integer column id"),  # was scored as column 1
+        ({0.2, 2.9}, "solution holds id 0.2, which is not an integer column id"),  # as columns 0 and 2
+        ([0, 2.5], "solution holds id 2.5, which is not an integer column id"),
+        ({"a"}, "solution must hold integer column ids, not <U1"),
+        ({0, 5}, "solution holds id 5, outside the columns 0..2"),  # was "column index out of range"
+        ({-1, 0}, "solution holds id -1, outside the columns 0..2"),
+    ],
+    ids=["fractional", "two_fractional", "mixed", "string", "beyond_n", "negative"],
+)
+def test_column_ids_that_are_no_column_are_rejected_by_name(solution, message):
+    # every column covers every row, so each truncated id made a cover
+    inst = ScpInstance(np.array([[3, 4, 5], [1, 2, 3]]), np.ones((2, 3), dtype=bool))
+    rng = np.random.default_rng(0)
+    calls = (
+        lambda: scp_evaluate(inst, solution),
+        lambda: scp_local_search(inst, solution, HALF),
+        lambda: greedy_repair(inst, solution, HALF),
+        lambda: scp_recombine(solution, {0}, rng, inst),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    # integral floats are still column ids
+    assert scp_evaluate(inst, {1.0}) == scp_evaluate(inst, {1}) == (4.0, 2.0)
+
+
 def test_evaluate_matches_resummation():
     rng = np.random.default_rng(1)
     inst = random_scp(10, 20, rng)
@@ -189,7 +218,7 @@ def test_local_search_removes_redundant_expensive_column():
     )
     assert best == HALF(scp_evaluate(inst, {0, 1}))
     trace = []
-    out = scp_local_search(inst, {0, 1, 4}, HALF, value_trace=trace)
+    out, _ = scp_local_search(inst, {0, 1, 4}, HALF, value_trace=trace)
     assert out == {0, 1}
     assert 4 not in out
     assert all(b < a for a, b in zip(trace, trace[1:]))
@@ -201,7 +230,7 @@ def test_local_search_fixed_point():
         [[True, True, False], [True, False, True], [True, True, True]]
     )
     inst = ScpInstance(costs, coverage)
-    assert scp_local_search(inst, {0}, HALF) == {0}
+    assert scp_local_search(inst, {0}, HALF)[0] == {0}
 
 
 def test_local_search_results_are_oracle_local_optima():
@@ -231,7 +260,7 @@ def test_local_search_results_are_oracle_local_optima():
     optima = {sol for sol in feasible_sets if oracle_is_local_optimum(sol)}
     assert optima
     for start in feasible_sets:
-        out = scp_local_search(inst, start, HALF)
+        out, _ = scp_local_search(inst, start, HALF)
         assert is_feasible(inst, out)
         assert out in optima
         assert HALF(scp_evaluate(inst, out)) <= HALF(scp_evaluate(inst, start))
@@ -342,11 +371,19 @@ def oracle_counts():
     return dict.fromkeys(("ratio", "value", "near", "skipped", "stopped"), 0)
 
 
+def assert_exact_point(inst, out, point):
+    """`point` is a tuple of Python floats with the bytes of `scp_evaluate(out)`."""
+    assert type(point) is tuple and all(type(v) is float for v in point)
+    assert np.array(point).tobytes() == np.array(scp_evaluate(inst, out)).tobytes()
+
+
 def assert_matches_frozen_search(inst, start, scalarizer, counts=None):
     expected_trace, trace = [], []
     expected = frozen_scp_local_search(inst, start, scalarizer, expected_trace, counts)
-    assert scp_local_search(inst, start, scalarizer, value_trace=trace) == expected
+    out, point = scp_local_search(inst, start, scalarizer, value_trace=trace)
+    assert out == expected
     assert np.array(trace).tobytes() == np.array(expected_trace).tobytes()
+    assert_exact_point(inst, out, point)
 
 
 def test_local_search_matches_frozen_oracle():
@@ -421,12 +458,16 @@ def test_local_search_matches_frozen_oracle_near_the_bound():
     # the later one gives a value 3 IMPROVEMENT_EPS lower than the earlier
     inst = ScpInstance(np.array([[5, 5, 4], [2, 3, 1]]), np.ones((1, 3), dtype=bool))
     trace = []
-    assert scp_local_search(inst, {0, 1, 2}, linear, value_trace=trace) == {2}
+    out, point = scp_local_search(inst, {0, 1, 2}, linear, value_trace=trace)
+    assert out == {2}
     assert trace == [linear((14, 6)), linear((9, 3)), linear((4, 1))]
+    assert_exact_point(inst, out, point)
     # removing column 0 uncovers both rows; the repair inserts 1, then 2,
     # and the neighbour is 9 IMPROVEMENT_EPS below the start
     inst = ScpInstance(np.array([[10, 4, 6], [5, 1, 1]]), np.array([[True, True, False], [True, False, True]]))
-    assert scp_local_search(inst, {0}, linear) == {1, 2}
+    out, point = scp_local_search(inst, {0}, linear)
+    assert out == {1, 2}
+    assert_exact_point(inst, out, point)
     rng = np.random.default_rng(151)
     kinds = ("linear", "mixed")
     counts = oracle_counts()

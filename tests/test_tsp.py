@@ -136,8 +136,24 @@ def test_candidate_lists_union_of_adjacencies():
     assert (m == m.T).all()
     with pytest.raises(ValueError):
         build_candidate_lists([])
-    with pytest.raises(ValueError, match="outside 0..3"):
+    with pytest.raises(ValueError, match="^tour holds id 4, outside the cities 0..3$"):
         build_candidate_lists([[0, 1, 2, 4]])
+
+
+@pytest.mark.parametrize(
+    "tours, message",
+    [
+        ([[0, 0, 1, 2]], "tour 0 is not a permutation of the cities 0..3"),  # city 0 was its own candidate
+        ([[0, 1, 2, 3], [3, 1, 2, 1]], "tour 1 is not a permutation of the cities 0..3"),
+        ([[0.5, 1, 2, 3]], "tour holds id 0.5, which is not an integer city id"),  # was read as city 0
+    ],
+    ids=["repeated", "second_tour", "fractional"],
+)
+def test_candidate_list_tours_that_are_no_tour_are_rejected_by_name(tours, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build_candidate_lists(tours)
+    # integral floats are still city ids
+    assert build_candidate_lists([[0.0, 1.0, 2.0, 3.0]]) == build_candidate_lists([[0, 1, 2, 3]])
 
 
 def two_opt_has_improving_move(inst, tour, s, cand=None, eps=1e-9):
@@ -165,7 +181,7 @@ def test_two_opt_uncrosses_and_terminates_at_local_optimum():
     inst = TspInstance((m, m))
     crossed = [0, 4, 2, 3, 1, 5]
     trace = []
-    out = two_opt_local_search(inst, crossed, LIN, value_trace=trace)
+    out, _ = two_opt_local_search(inst, crossed, LIN, value_trace=trace)
     assert LIN(tsp_evaluate(inst, out)) < LIN(tsp_evaluate(inst, crossed))
     assert trace == sorted(trace, reverse=True)
     assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
@@ -178,8 +194,8 @@ def test_two_opt_fixed_point_is_stable():
     rng = np.random.default_rng(5)
     inst = random_instance(10, 2, rng)
     s = Scalarizer((0.4, 0.6), ScalarizerSpec("linear"))
-    out = two_opt_local_search(inst, random_tour(inst, rng), s)
-    again = two_opt_local_search(inst, out, s)
+    out, _ = two_opt_local_search(inst, random_tour(inst, rng), s)
+    again, _ = two_opt_local_search(inst, out, s)
     assert tsp_evaluate(inst, again) == tsp_evaluate(inst, out)
 
 
@@ -187,7 +203,7 @@ def test_two_opt_output_sorted_permutation():
     rng = np.random.default_rng(6)
     inst = random_instance(12, 2, rng)
     for _ in range(5):
-        out = two_opt_local_search(inst, random_tour(inst, rng), LIN)
+        out, _ = two_opt_local_search(inst, random_tour(inst, rng), LIN)
         assert sorted(out.tolist()) == list(range(12))
 
 
@@ -198,7 +214,7 @@ def test_two_opt_respects_candidate_lists():
     lists = build_candidate_lists([random_tour(inst, rng), random_tour(inst, rng)])
     for _ in range(10):
         start = random_tour(inst, rng)
-        out = two_opt_local_search(inst, start, LIN, candidates=lists)
+        out, _ = two_opt_local_search(inst, start, LIN, candidates=lists)
         assert not two_opt_has_improving_move(inst, out, LIN, cand=lists)
     # lists for another city count are rejected, not read out of bounds
     for count in (11, 13):
@@ -214,7 +230,7 @@ def test_two_opt_respects_candidate_lists():
             CandidateLists(tuple(members))
     # lists without pairs allow no move: every tour is a local optimum
     start = random_tour(inst, rng)
-    out = two_opt_local_search(inst, start, LIN, candidates=CandidateLists((frozenset(),) * 12))
+    out, _ = two_opt_local_search(inst, start, LIN, candidates=CandidateLists((frozenset(),) * 12))
     assert out.tolist() == start.tolist()
 
 
@@ -225,7 +241,7 @@ def test_two_opt_nonlinear_scalarizer_monotone():
     ref = tuple(float(v) for v in tsp_evaluate(inst, start))
     s = Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff"), ref)
     trace = []
-    out = two_opt_local_search(inst, start, s, value_trace=trace)
+    out, _ = two_opt_local_search(inst, start, s, value_trace=trace)
     assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
     assert not two_opt_has_improving_move(inst, out, s)
 
@@ -241,7 +257,7 @@ def test_two_opt_reaches_exhaustive_optimum_on_6_cities():
     )
     hits = 0
     for _ in range(20):
-        out = two_opt_local_search(inst, random_tour(inst, rng), LIN)
+        out, _ = two_opt_local_search(inst, random_tour(inst, rng), LIN)
         hits += LIN(tsp_evaluate(inst, out)) == best
     assert hits >= 15
 
@@ -319,12 +335,19 @@ def small_int_instance(n, n_obj, rng, high=10):
     return TspInstance(tuple(mats))
 
 
+def assert_exact_point(point, expected, case):
+    """`point` is a tuple of Python floats with the bytes of `expected`."""
+    assert type(point) is tuple and all(type(v) is float for v in point), case
+    assert np.array(point).tobytes() == np.array(expected).tobytes(), case
+
+
 def assert_follows_frozen_oracle(inst, start, s, lists, case):
     expected_trace, trace = [], []
     expected = frozen_two_opt(inst, start, s, lists, expected_trace)
-    out = two_opt_local_search(inst, start, s, candidates=lists, value_trace=trace)
+    out, point = two_opt_local_search(inst, start, s, candidates=lists, value_trace=trace)
     assert out.tolist() == expected.tolist(), case
     assert trace == expected_trace, case
+    assert_exact_point(point, tsp_evaluate(inst, out), case)
 
 
 def record_paths(monkeypatch):
@@ -390,7 +413,7 @@ def test_two_opt_matches_frozen_dense_oracle(monkeypatch):
         n_obj = int(rng.integers(2, 4))
         inst = small_int_instance(n, n_obj, rng)
         optima = [
-            two_opt_local_search(inst, random_tour(inst, rng), scalarizer("linear", n_obj))
+            two_opt_local_search(inst, random_tour(inst, rng), scalarizer("linear", n_obj))[0]
             for _ in range(int(rng.integers(2, 6)))
         ]
         lists = build_candidate_lists(optima)
@@ -591,6 +614,20 @@ def test_dpx_rejects_mismatched_city_sets():
             dpx_recombine(np.array(pa), np.array(pb), rng)
 
 
+def test_dpx_rejects_ids_that_are_no_integer():
+    rng = np.random.default_rng(0)
+    # 3.5 was read as city 3
+    with pytest.raises(ValueError, match="^parent holds id 3.5, which is not an integer city id$"):
+        dpx_recombine([0, 1, 2, 3], [0, 1, 2, 3.5], rng)
+    with pytest.raises(ValueError, match="^parent holds id nan, which is not an integer city id$"):
+        dpx_recombine([0, 1, 2, np.nan], [0, 1, 2, 3], rng)
+    with pytest.raises(ValueError, match="^parent must hold integer city ids, not <U1$"):
+        dpx_recombine(list("abcd"), list("abcd"), rng)
+    # integral floats are still city ids, and the offspring holds int64 ids
+    off = dpx_recombine([0.0, 1.0, 2.0, 3.0, 4.0], [0, 2, 1, 3, 4], rng)
+    assert off.dtype == np.int64 and sorted(off.tolist()) == [0, 1, 2, 3, 4]
+
+
 def frozen_edge_set(tour):
     """Oracle: `_edge_set` as first written, over numpy scalars."""
     if tour.size < 2:
@@ -723,7 +760,7 @@ def test_dpx_matches_frozen_oracle(monkeypatch):
         n = int(rng.integers(10, 101))
         inst = random_instance(n, 2, rng)
         s = Scalarizer(tuple(rng.dirichlet(np.ones(2))), ScalarizerSpec("linear"))
-        pa, pb = (two_opt_local_search(inst, random_tour(inst, rng), s) for _ in range(2))
+        pa, pb = (two_opt_local_search(inst, random_tour(inst, rng), s)[0] for _ in range(2))
         tsp_check(pa, pb, ("local optima", case))
 
     def frozen_wp(pa, pb, r):

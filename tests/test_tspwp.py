@@ -169,7 +169,7 @@ def test_local_search_monotone_and_locally_optimal():
         start = random_subtour(inst, rng)
         s = Scalarizer((0.4, 0.6), spec, tspwp_evaluate(inst, start))
         trace = []
-        out = tspwp_local_search(inst, start, s, value_trace=trace)
+        out, _ = tspwp_local_search(inst, start, s, value_trace=trace)
         assert all(b < a - 1e-9 for a, b in zip(trace, trace[1:]))
         assert len(set(out.tolist())) == out.size
         assert not wp_has_improving_move(inst, out, s)
@@ -183,7 +183,7 @@ def test_length_dominant_weight_collapses_to_exhaustive_optimum():
     s = Scalarizer((0.999, 0.001), ScalarizerSpec("linear"))
     best = min(s(tspwp_evaluate(inst, t)) for t in all_subtours(6))
     for _ in range(10):
-        out = tspwp_local_search(inst, random_subtour(inst, rng), s)
+        out, _ = tspwp_local_search(inst, random_subtour(inst, rng), s)
         assert s(tspwp_evaluate(inst, out)) == pytest.approx(best)
     assert best == pytest.approx(s((0.0, -1.0)))  # a lone city collects profit 1 at length 0
 
@@ -193,7 +193,7 @@ def test_profit_dominant_weight_keeps_all_cities():
     inst = small_instance(8, rng, profit_hi=100)
     s = Scalarizer((0.001, 0.999), ScalarizerSpec("linear"))
     start = np.arange(8)
-    out = tspwp_local_search(inst, start, s)
+    out, _ = tspwp_local_search(inst, start, s)
     assert set(out.tolist()) == set(range(8))
     assert tspwp_evaluate(inst, out)[1] == -float(inst.profits.sum())
 
@@ -274,6 +274,21 @@ def test_dpx_wp_rejects_repeated_cities():
     for pa, pb in (([0, 0, 1], [0, 1]), ([0, 1, 2, 2], [2, 0, 1, 2])):
         with pytest.raises(ValueError, match="parents must visit each city at most once"):
             dpx_wp_recombine(np.array(pa), np.array(pb), rng, n_cities=6)
+
+
+@pytest.mark.parametrize(
+    "pa, pb, message",
+    [
+        ([0, 1, 7], [0, 1, 2], "parent holds id 7, outside the cities 0..5"),  # was kept in the offspring
+        ([0, 1, 2], [-1, 1, 2], "parent holds id -1, outside the cities 0..5"),
+        ([0, 1, 2], [0, 1.5, 2], "parent holds id 1.5, which is not an integer city id"),  # was read as city 1
+    ],
+    ids=["beyond_n", "negative", "fractional"],
+)
+def test_dpx_wp_rejects_ids_that_are_no_city_by_name(pa, pb, message):
+    rng = np.random.default_rng(0)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        dpx_wp_recombine(pa, pb, rng, n_cities=6)
 
 
 def test_dpx_wp_preserves_common_edges_and_nodes():
@@ -478,6 +493,13 @@ def frozen_local_search(instance, subtour, weights, spec, reference, ranges, val
     return t
 
 
+def assert_exact_point(point, expected, case):
+    """`point` is a tuple of Python floats with the bytes of `expected`,
+    so a profit of -0.0 keeps its sign."""
+    assert type(point) is tuple and all(type(v) is float for v in point), case
+    assert np.array(point).tobytes() == np.array(expected).tobytes(), case
+
+
 def tied_instance(n, rng):
     """Costs of 1-3 and profits of 1-2, so that equal moves are common."""
     upper = np.triu(rng.integers(1, 4, size=(n, n)), 1)
@@ -512,9 +534,10 @@ def test_local_search_matches_frozen_oracle():
         start = rng.choice(n, size=n if size is None else size, replace=False)
         expected_trace, trace = [], []
         expected = frozen_local_search(inst, start, weights, spec, ref, ranges, expected_trace, ties, slopes)
-        out = tspwp_local_search(inst, start, s, value_trace=trace)
+        out, point = tspwp_local_search(inst, start, s, value_trace=trace)
         assert out.tolist() == expected.tolist(), case
         assert np.array(trace).tobytes() == np.array(expected_trace).tobytes(), case
+        assert_exact_point(point, tspwp_evaluate(inst, out), case)
     assert case + 1 >= 360
     assert all(count > 0 for count in ties.values()), ties
     assert all(count > 0 for count in slopes.values()), slopes
@@ -527,7 +550,7 @@ def test_local_search_trace_keeps_the_sign_of_a_zero_value():
     # trace must keep the sign the oracle gives.
     ties = dict.fromkeys(("edge", "insert", "swap", "delete", "between"), 0)
     slopes = dict.fromkeys(("flat", "rising"), 0)
-    negative_zeros = 0
+    negative_zeros = zero_profits = 0
     for case in range(200):
         rng = np.random.default_rng(case)
         n = int(rng.integers(4, 12))
@@ -540,11 +563,14 @@ def test_local_search_trace_keeps_the_sign_of_a_zero_value():
         start = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
         expected_trace, trace = [], []
         expected = frozen_local_search(inst, start, weights, spec, ref, None, expected_trace, ties, slopes)
-        out = tspwp_local_search(inst, start, Scalarizer(weights, spec, ref), value_trace=trace)
+        out, point = tspwp_local_search(inst, start, Scalarizer(weights, spec, ref), value_trace=trace)
         assert out.tolist() == expected.tolist(), case
         assert np.array(trace).tobytes() == np.array(expected_trace).tobytes(), case
+        assert_exact_point(point, tspwp_evaluate(inst, out), case)
         negative_zeros += sum(v == 0.0 and math.copysign(1.0, v) < 0 for v in trace)
+        zero_profits += point[1] == 0.0 and math.copysign(1.0, point[1]) < 0
     assert negative_zeros > 0
+    assert zero_profits > 0
 
 
 def test_value_columns_bit_matches_value_on_search_shapes():
