@@ -167,6 +167,8 @@ class Scalarizer:
         # Python floats for the per-point path of __call__
         self._lambdas = self.weights.tolist()
         self._reference = None if self.reference is None else self.reference.tolist()
+        # weights[..., j] per objective, for the terms of value and value_columns
+        self._weight_columns = [self.weights[..., j] for j in range(self.weights.shape[-1])]
 
     @property
     def kind(self) -> str:
@@ -187,53 +189,65 @@ class Scalarizer:
     def value_columns(self, *columns: np.ndarray | float) -> np.ndarray:
         """Scalarize points given one objective per argument -> (...).
 
-        The columns broadcast to one shape (...); the result equals `value`
-        of the stacked (..., J) array bit for bit.
+        The columns broadcast to one shape (...), and against the leading
+        shape of stacked weights; each is an array of real numbers or a
+        Python number.  Without a transform the kind's terms run on the
+        columns themselves and no stacked (..., J) copy is built: each
+        element gets the operations of `value`, in the same order, and an
+        int column is converted to float inside each operation that reads
+        it, by the cast an assignment into a float array makes.  So the
+        result equals `value` of the stacked array bit for bit.  A transform
+        maps whole points, so with one the columns are stacked first.
         """
         j_count = self.weights.shape[-1]
         if len(columns) != j_count:
             raise ValueError(f"{len(columns)} objective columns != weight dimension {j_count}")
-        shape = np.broadcast(*columns).shape
-        z = np.empty(shape + (j_count,))
+        if self.transform is None:
+            return self._terms(columns)
+        z = np.empty(np.broadcast(*columns).shape + (j_count,))
         for j, column in enumerate(columns):
             z[..., j] = column
         return self._scalarize(z)
 
     def _scalarize(self, z: np.ndarray) -> np.ndarray:
-        """Transform, then the kind's terms and their mix."""
+        """Transform, then the kind's terms on the (..., J) points' columns."""
         if self.transform is not None:
             z = self.transform(z)
+        return self._terms([z[..., j] for j in range(z.shape[-1])])
+
+    def _terms(self, columns: Sequence[np.ndarray | float]) -> np.ndarray:
+        """The kind's terms and their mix, one objective per column."""
         kind = self.spec.kind
         if kind == "linear":
-            return self._linear(z)
-        cheby = self._chebycheff(z)
+            return self._linear(columns)
+        cheby = self._chebycheff(columns)
         if kind == "chebycheff":
             return cheby
         if self.spec.w_cheby == 0.0:
-            return self._linear(z)
+            return self._linear(columns)
         if self.spec.w_linear == 0.0:
             return cheby
-        return self.spec.w_linear * self._linear(z) + self.spec.w_cheby * cheby
+        return self.spec.w_linear * self._linear(columns) + self.spec.w_cheby * cheby
 
-    def _linear(self, z: np.ndarray) -> np.ndarray:
+    def _linear(self, columns: Sequence[np.ndarray | float]) -> np.ndarray:
         """sum_j lambda_j * z_j, added left to right."""
-        w = self.weights
-        lin = z[..., 0] * w[..., 0]
-        for j in range(1, w.shape[-1]):
-            lin = lin + z[..., j] * w[..., j]
+        w = self._weight_columns
+        lin = columns[0] * w[0]
+        for j in range(1, len(w)):
+            lin = lin + columns[j] * w[j]
         return lin
 
-    def _chebycheff(self, z: np.ndarray) -> np.ndarray:
+    def _chebycheff(self, columns: Sequence[np.ndarray | float]) -> np.ndarray:
         """max_j lambda_j * (z_j - z_ref_j), taken one objective at a time.
 
         These are the elementwise operations of `(weights * (z -
         reference)).max(axis=-1)`, so the result is the same bit for bit;
         numpy broadcasts and reduces over a short last axis far more slowly.
         """
-        w, ref = self.weights, self.reference
-        cheby = w[..., 0] * (z[..., 0] - ref[0])
-        for j in range(1, w.shape[-1]):
-            cheby = np.maximum(cheby, w[..., j] * (z[..., j] - ref[j]))
+        w, ref = self._weight_columns, self._reference
+        cheby = w[0] * (columns[0] - ref[0])
+        for j in range(1, len(w)):
+            cheby = np.maximum(cheby, w[j] * (columns[j] - ref[j]))
         return cheby
 
     def __call__(self, z: Sequence[float]) -> float:

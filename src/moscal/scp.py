@@ -4,9 +4,10 @@ Solutions are frozensets of selected column indices.  The local-search
 neighborhood removes one selected column at a time and greedily repairs the
 cover with that column excluded, so every move yields a genuinely different
 solution; the best strictly-improving repaired neighbor is applied (steepest
-descent).  A step scores all removals with one batched scalarizer call and
-reuses each scored point's value: the scalarizer's values do not depend on
-the shape of the array, so a row of a batch equals the point scored alone.
+descent).  A step scores all removals with one batched scalarizer call, and
+the first repair insertion of every removal with a second one, and reuses
+each scored point's value: the scalarizer's values do not depend on the
+shape of the array, so an entry of a batch equals the point scored alone.
 Recombination keeps the parents' common columns, adds each
 single-parent column with probability 1/2, then covers any remaining rows
 with uniformly random covering columns.
@@ -111,6 +112,16 @@ class ScpInstance:
         """(n_columns, J) float costs; `take` of its rows is a fast gather."""
         return np.ascontiguousarray(self.costs.T, dtype=float)
 
+    @cached_property
+    def _objective_costs(self) -> tuple[np.ndarray, ...]:
+        """One (n_columns,) float cost row per objective."""
+        return tuple(np.asarray(self.costs, dtype=float))
+
+    @cached_property
+    def _coverage_float(self) -> np.ndarray:
+        """`coverage` as 0.0/1.0; a matmul with it counts covered rows exactly."""
+        return self.coverage.astype(float)
+
 
 def _as_columns(instance: ScpInstance, solution: Iterable[int]) -> np.ndarray:
     cols = integer_ids(sorted(solution), "solution", "column")
@@ -163,6 +174,12 @@ def _repair(
     in each objective, so the later insertions could only raise the value:
     the finished repair would not be below `bound` either.  The default
     bound never stops a repair.
+
+    `scp_local_search` makes the first insertion of every removal itself, in
+    one batch per step, by this rule: the same integer row counts, the same
+    elementwise values, the lowest column of tied ratios and the same bound.
+    It calls `_repair` only to go on from a first insertion that stays below
+    the bound and leaves rows uncovered.
     """
     picks: list[int] = []
     remaining = int(np.count_nonzero(uncovered))
@@ -229,45 +246,79 @@ def scp_local_search(
     the best so far by more than `IMPROVEMENT_EPS`.
 
     Per step, the per-row cover counts and the integer cost sums of the
-    current cover are computed once.  Every removal's point, the sums minus
-    the column's costs, is one row of a (c, J) array, scored with one
-    `Scalarizer.value` call.  A removal that leaves no row uncovered is then
-    scored.  One that uncovers a single row takes that row's other covering
-    columns as candidates, each covering one new row, so the insertion is
-    the argmin of the value increases and the neighbor's value is that of
-    the point it picks.  One that uncovers more rows runs the greedy repair,
-    whose last insertion gives the neighbor's value.  Costs are integers, so
-    every point, the returned one too, equals `scp_evaluate` of its cover.
+    current cover are computed once; on the first step they also check that
+    the start is a cover and give its point.  Every removal's point, the
+    sums minus the column's costs, is one row of a (c, J) array, scored with
+    one `Scalarizer.value` call.  The first greedy insertion of every
+    removal is then scored in one batch, with the ratio rule of `_repair`:
+    - the newly covered row counts of all (removal, column) pairs are one
+      matmul of the 0/1 matrix of the rows each removal uncovers with the
+      0/1 float coverage; every count is an integer no larger than the row
+      count, so the float sums are exact in any order;
+    - the values of all (removal, column) insertions are one
+      `Scalarizer.value_columns` call on per-objective (c, N) columns, whose
+      elementwise operations give each point the bits of `_repair`'s `value`
+      call;
+    - the ratios start from `np.where(newly > 0, vals, inf)` with inf also
+      on the removed column, so columns that cover no uncovered row and the
+      removed one stay inf through the subtraction and the division (inf / 0
+      is inf), and the others get the expression of `_repair`; each
+      removal's first pick is its row's `argmin`, which takes the lowest
+      column of tied ratios as `_repair` does, and an inf minimum means that
+      no admissible column covers the rows.
+
+    A removal that leaves no row uncovered is scored by its own value.  For
+    any other, the batch's first pick gives the neighbor when it covers
+    every uncovered row, as it always does for a single one; otherwise
+    `_repair` continues from it, and its last insertion gives the
+    neighbor's value.  Costs are integers, so every point, the returned one
+    too, equals `scp_evaluate` of its cover.
 
     Each removal is held to the bound `best_value - IMPROVEMENT_EPS` of the
     walk at that point.  Its neighbor is the removal's point plus positive
     costs, and the scalarizer is nondecreasing in each objective in floats,
-    so the neighbor scores at least the removal's value.  A removal whose
-    value is not below the bound is therefore skipped without a repair, and
-    a multi-row repair stops once it reaches the bound (see `_repair`).  The
-    walk rejects exactly these neighbors, so every decision is the same as
-    with all neighbors repaired in full.
+    so the neighbor scores at least the removal's value, and at least the
+    value after any of its repair's insertions.  A removal whose value is
+    not below the bound is therefore skipped, one whose first insertion
+    reaches the bound is dropped without a repair, and a longer repair
+    stops once it reaches the bound (see `_repair`).  The walk rejects
+    exactly these neighbors, so every decision is the same as with all
+    neighbors repaired in full.
     """
     coverage, costs, column_costs = instance.coverage, instance.costs, instance._column_costs
     current = frozenset(_as_columns(instance, solution).tolist())
-    value = scalarizer(scp_evaluate(instance, current))
-    if value_trace is not None:
-        value_trace.append(value)
+    value = None
     allowed = np.ones(instance.n_columns, dtype=bool)
     while True:
         cols = np.asarray(sorted(current), dtype=np.int64)
         selected = coverage[:, cols]
         counts = selected.sum(axis=1)
-        # recounted from scratch: guards the repair's incremental bookkeeping
         if not counts.all():
+            if value is None:
+                raise ValueError("infeasible cover: some rows are uncovered")
+            # recounted from scratch: guards the repair's incremental bookkeeping
             raise RuntimeError("local search reached an infeasible cover")
+        chosen = costs[:, cols]
+        sums = chosen.sum(axis=1)
+        if value is None:
+            value = scalarizer(sums.tolist())
+            if value_trace is not None:
+                value_trace.append(value)
         # lonely[:, i]: the rows that removing cols[i] uncovers
         lonely = selected & (counts == 1)[:, None]
-        n_lonely = lonely.sum(axis=0).tolist()
-        first = lonely.argmax(axis=0).tolist()
-        chosen = costs[:, cols]
-        points = (chosen.sum(axis=1) - chosen.T).astype(float)
+        points = (sums - chosen.T).astype(float)
         removal_values = scalarizer.value(points)
+        # the first insertion of every removal, in one batch: newly[i, k] is
+        # the number of the rows of lonely[:, i] that column k covers
+        newly = lonely.T @ instance._coverage_float
+        vals = scalarizer.value_columns(*(p[:, None] + c for p, c in zip(points.T, instance._objective_costs)))
+        ratios = np.where(newly > 0.0, vals, math.inf)
+        ratios[np.arange(cols.size), cols] = math.inf
+        ratios -= removal_values[:, None]
+        ratios /= newly
+        firsts = ratios.argmin(axis=1).tolist()
+        n_lonely = lonely.sum(axis=0).tolist()
+        removal_values = removal_values.tolist()
         best_value = value
         best: tuple[int, list[int]] | None = None
         for i, col in enumerate(cols.tolist()):
@@ -276,29 +327,30 @@ def scp_local_search(
                 continue
             if n_lonely[i] == 0:
                 picks, neighbor_value = [], removal_values[i]
-            elif n_lonely[i] == 1:
-                candidates = instance.row_covers(first[i])
-                candidates = candidates[candidates != col]
-                if candidates.size == 0:
-                    continue
-                vals = scalarizer.value(column_costs.take(candidates, axis=0) + points[i])
-                pick = int((vals - removal_values[i]).argmin())
-                picks, neighbor_value = [int(candidates[pick])], vals[pick]
             else:
-                allowed[col] = False
-                try:
-                    picks, neighbor_value = _repair(
-                        instance, scalarizer, points[i], removal_values[i], lonely[:, i].copy(), allowed, bound
-                    )
-                except RepairError:
+                pick = firsts[i]
+                neighbor_value = vals[i, pick]
+                # an inf ratio: no admissible column covers the rows
+                if not (ratios[i, pick] < math.inf and neighbor_value < bound):
                     continue
-                finally:
-                    allowed[col] = True
+                picks = [pick]
+                if newly[i, pick] < n_lonely[i]:
+                    allowed[col] = False
+                    try:
+                        more, neighbor_value = _repair(
+                            instance, scalarizer, points[i] + column_costs[pick], neighbor_value,
+                            lonely[:, i] & ~coverage[:, pick], allowed, bound,
+                        )
+                    except RepairError:
+                        continue
+                    finally:
+                        allowed[col] = True
+                    picks += more
             if neighbor_value < bound:
                 best_value = float(neighbor_value)
                 best = (col, picks)
         if best is None:
-            return current, tuple(float(v) for v in chosen.sum(axis=1))
+            return current, tuple(float(v) for v in sums)
         col, picks = best
         current, value = (current - {col}).union(picks), best_value
         if value_trace is not None:

@@ -602,9 +602,14 @@ def dpx_recombine(
     """
     pa, pb = (integer_ids(p, "parent", "city").astype(np.int64, copy=False) for p in (parent_a, parent_b))
     cities = pa.tolist()
-    if sorted(cities) != sorted(pb.tolist()):
+    ordered = sorted(cities)
+    if ordered != sorted(pb.tolist()):
         raise ValueError("parents must visit the same cities")
-    if len(set(cities)) != len(cities):
+    if ordered != list(range(len(ordered))):
+        # n distinct ids that are not 0..n-1 hold one outside that range
+        if ordered[0] < 0 or ordered[-1] >= len(ordered):
+            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
+            raise ValueError(f"parent holds city {bad}, outside the cities 0..{len(ordered) - 1}")
         raise ValueError("parents must visit each city once")
     ea, eb = _edge_set(pa), _edge_set(pb)
     common = ea & eb

@@ -74,4 +74,4 @@ def test_golden_digests_and_linear_term_under_non_fma_openblas_kernel():
     env["PYTHONPATH"] = os.pathsep.join([str(SRC), str(TESTS), env.get("PYTHONPATH", "")])
     proc = subprocess.run([sys.executable, "-c", CHILD], env=env, capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert proc.stdout.count("golden ") == 8, proc.stdout
+    assert proc.stdout.count("golden ") == 9, proc.stdout

@@ -55,6 +55,10 @@ CASES = {
         [("scp", dict(rows=40, cols=120))],
         dict(problem="moscp", generations=2, weight_count=10, scalarizer=ScalarizerSpec("chebycheff")),
     ),
+    "moscp3-mixed": (
+        [("scp3", dict(rows=40, cols=120))],
+        dict(problem="moscp", generations=2, weight_count=10, scalarizer=ScalarizerSpec("mixed")),
+    ),
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -71,6 +75,13 @@ GOLDEN: dict[str, dict[str, str]] = {
         "archives/mogls_moscp2-chebycheff_5.csv": "11e87628ca3b189c19cd804d39d8d48ec10b8e0ae28fda5d274441a4f55e2928",
         "archives/momsls_moscp2-chebycheff_5.csv": "4cf075408a74ebb759903b643844afe0aa75b93a387b884bb5e37c91cf0d9a7e",
         "archives/umogls_moscp2-chebycheff_5.csv": "ba8ddb9accbd0ff142a7a3a6f99790e64e65a97a421a39a268df2b5432c9bbfc",
+    },
+    "moscp3-mixed": {
+        "results.csv": "f161c79dd56fea3ca68e251810ca92812a7ad3116cff6b6506a7494fdf67f64c",
+        "archives/moead_moscp3-mixed_5.csv": "515e689812d6f8defb8069efde236044864f02835fe5692c454daf33dffb0e23",
+        "archives/mogls_moscp3-mixed_5.csv": "a511e62c51fec6fdda4bd1047d141d3706960fd1348f822f481684cf5a975242",
+        "archives/momsls_moscp3-mixed_5.csv": "b643669a134dade524262e9d6e112537d7aac8a1fe6219c94aea326d6e710d2e",
+        "archives/umogls_moscp3-mixed_5.csv": "f35b60a3cb754c6717264babbd32b73bfc6f6587256289e73f6227d4370c8140",
     },
     "mstsp2": {
         "results.csv": "1007a77617a96ed79bad91bce47c2b369cae510636262a7debd952778f7633fc",

@@ -385,3 +385,61 @@ def test_stacked_weights_must_agree_on_dimension():
         Scalarizer([WeightVector((0.5, 0.5)), WeightVector((0.2, 0.3, 0.5))], ScalarizerSpec("linear"))
     with pytest.raises(ValueError, match="reference point and weights disagree on dimension"):
         Scalarizer([WeightVector((0.5, 0.5))] * 2, ScalarizerSpec("chebycheff"), (0.0, 0.0, 0.0))
+
+
+def test_value_columns_bit_match_value_of_the_stacked_array():
+    # value_columns runs the kind's terms on the columns themselves, or
+    # stacks them for a transform; each point must get the bytes of `value`
+    # of the stacked (..., J) float array: int, float and broadcast
+    # Python-float columns, single and stacked weights, every kind and mix
+    # share, with and without range normalization.  Zero weights and -0.0
+    # coordinates make -0.0 values.
+    rng = np.random.default_rng(29)
+    lattice_values = np.array([-0.0, 0.0, -1.0, -2.5, 0.5, 3.0, 7.0])
+    specs = (
+        ScalarizerSpec("linear"),
+        ScalarizerSpec("chebycheff"),
+        ScalarizerSpec("mixed", w_linear=0.0),
+        ScalarizerSpec("mixed", w_linear=0.5),
+        ScalarizerSpec("mixed", w_linear=1.0),
+    )
+    seen = set()
+    negative_zeros = 0
+    for case in range(240):
+        j = 2 + case % 2
+        spec = specs[(case // 2) % len(specs)]
+        stacked = case % 3 == 2
+        if stacked:
+            weights = generate_uniform_weights(j, 2)
+            shapes = [(3, len(weights)), (len(weights),), (1, len(weights)), ()]
+        else:
+            lattice = generate_uniform_weights(j, 2)
+            weights = lattice[int(rng.integers(len(lattice)))]
+            shapes = [(3, 1), (1, 4), (4,), (3, 4), ()]
+        ref = tuple(float(v) for v in rng.choice(lattice_values, size=j))
+        normalized = (case // 10) % 2 == 1
+        ranges = ObjectiveRanges(tuple(rng.uniform(-4, 0, size=j).round(1).tolist()), (8.0,) * j)
+        s = Scalarizer(weights, spec, ref, ranges.normalize if normalized else None)
+        columns = []
+        for _ in range(j):
+            shape = shapes[int(rng.integers(len(shapes)))]
+            form = int(rng.integers(3))
+            if form == 0 or not shape:
+                columns.append(float(rng.choice(lattice_values)))
+                form = 0
+            elif form == 1:
+                columns.append(rng.integers(-3, 8, size=shape))
+            else:
+                columns.append(rng.choice(lattice_values, size=shape))
+            seen.add(("python float", "int", "float")[form])
+        z = np.stack(np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in columns)), axis=-1)
+        expected = s.value(z)
+        got = s.value_columns(*columns)
+        assert np.shape(got) == expected.shape, case
+        assert bits(got) == bits(expected), case
+        negative_zeros += int((np.signbit(expected) & (expected == 0.0)).sum())
+        seen.update({(spec.kind, spec.w_linear, stacked, normalized, j)})
+    assert {"python float", "int", "float"} <= seen
+    assert all((spec.kind, spec.w_linear, stacked, normalized, j) in seen
+               for spec in specs for stacked in (False, True) for normalized in (False, True) for j in (2, 3))
+    assert negative_zeros > 0

@@ -224,6 +224,22 @@ def test_local_search_removes_redundant_expensive_column():
     assert all(b < a for a, b in zip(trace, trace[1:]))
 
 
+def test_local_search_checks_its_start_without_scp_evaluate(monkeypatch):
+    # the first step's row counts and cost sums check the start and give its
+    # point; the engine evaluates only its reference point
+    def no_evaluate(*args):
+        raise AssertionError("scp_evaluate called")
+
+    monkeypatch.setattr("moscal.scp.scp_evaluate", no_evaluate)
+    inst = ScpInstance(np.array([[3, 2, 9], [7, 1, 4]]), np.array([[True, True, False], [True, False, True]]))
+    for start in ({1}, set(), {2}):
+        with pytest.raises(ValueError, match="^infeasible cover: some rows are uncovered$"):
+            scp_local_search(inst, start, HALF)
+    trace = []
+    assert scp_local_search(inst, {0, 1, 2}, HALF, value_trace=trace) == ({0}, (3.0, 7.0))
+    assert trace[0] == HALF((14.0, 12.0)) and trace[-1] == HALF((3.0, 7.0))
+
+
 def test_local_search_fixed_point():
     costs = np.array([[2, 9, 9], [2, 9, 9]])
     coverage = np.array(
@@ -275,7 +291,9 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, co
     whose own value is not below the walk's bound (the best so far minus
     IMPROVEMENT_EPS), which the search skips; and repairs of the other
     removals that reach the bound with rows still uncovered, which the
-    search stops there."""
+    search stops there; and, among the removals not skipped, the `BRANCHES`
+    of their repairs' first insertions, which the search scores in one
+    batch per step."""
 
     def as_columns(solution):
         cols = np.asarray(sorted(solution), dtype=np.int64)
@@ -303,10 +321,16 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, co
         point = instance.costs[:, cols].sum(axis=1).astype(float)
         allowed = np.ones(instance.n_columns, dtype=bool)
         allowed[excluded] = False
+        lonely = int((~covered).sum())
+        first = bound is not None
+        if first and lonely == 1:
+            counts["one_row"] += 1
         while not covered.all():
             newly = instance.coverage[~covered].sum(axis=0)
             candidates = np.flatnonzero((newly > 0) & allowed)
             if candidates.size == 0:
+                if first:
+                    counts["uncoverable"] += 1
                 raise RepairError("no admissible column covers the remaining rows")
             base = scalarizer.value(point)
             increase = scalarizer.value(point[None, :] + instance.costs[:, candidates].T) - base
@@ -317,6 +341,14 @@ def frozen_scp_local_search(instance, solution, scalarizer, value_trace=None, co
             selected.add(pick)
             covered |= instance.coverage[:, pick]
             point += instance.costs[:, pick]
+            if first and lonely > 1:
+                if scalarizer.value(point) >= bound:
+                    counts["first_stopped"] += 1
+                elif covered.all():
+                    counts["first_covers"] += 1
+                else:
+                    counts["continued"] += 1
+            first = False
             if bound is not None and not covered.all() and scalarizer.value(point) >= bound:
                 counts["stopped"] += 1
                 bound = None
@@ -367,8 +399,16 @@ def oracle_scalarizer(kind, n_obj, rng):
     return Scalarizer(tuple(rng.dirichlet(np.ones(n_obj))), ScalarizerSpec(kind), ref)
 
 
+# the branches of the search's batched first insertion, as the oracle counts
+# them among the removals that are not skipped: no admissible column covers
+# the rows; one row; and, with more rows, a first insertion that reaches the
+# bound, one below it that covers every row, and one below it that leaves
+# rows for the rest of the repair
+BRANCHES = ("uncoverable", "one_row", "first_stopped", "first_covers", "continued")
+
+
 def oracle_counts():
-    return dict.fromkeys(("ratio", "value", "near", "skipped", "stopped"), 0)
+    return dict.fromkeys(("ratio", "value", "near", "skipped", "stopped", *BRANCHES), 0)
 
 
 def assert_exact_point(inst, out, point):
@@ -386,6 +426,23 @@ def assert_matches_frozen_search(inst, start, scalarizer, counts=None):
     assert_exact_point(inst, out, point)
 
 
+def test_local_search_never_reinserts_the_removed_column():
+    # chebycheff is subadditive: removing column 0 (cost (10, 10), rows 0
+    # and 1) scores 0, and reinserting it would have the lowest first ratio,
+    # (5 - 0) / 2 against 3 for columns 1 and 2; yet columns 1 and 2 together
+    # score 3.5, below the start's 5
+    inst = ScpInstance(
+        np.array([[10, 1, 6, 1], [10, 6, 1, 1]]),
+        np.array([[True, True, False, False], [True, False, True, False], [False, False, False, True]]),
+    )
+    s = Scalarizer((0.5, 0.5), ScalarizerSpec("chebycheff"), (1.0, 1.0))
+    trace = []
+    out, point = scp_local_search(inst, {0, 3}, s, value_trace=trace)
+    assert out == {1, 2, 3} and trace == [5.0, 3.5]
+    assert_exact_point(inst, out, point)
+    assert_matches_frozen_search(inst, {0, 3}, s)
+
+
 def test_local_search_matches_frozen_oracle():
     rng = np.random.default_rng(2004)
     kinds = ("linear", "chebycheff", "mixed")
@@ -399,6 +456,7 @@ def test_local_search_matches_frozen_oracle():
         s = oracle_scalarizer(kinds[(case // 2) % 3], n_obj, rng)
         assert_matches_frozen_search(inst, padded_cover(inst, rng), s, counts)
     assert counts["skipped"] > 0 and counts["stopped"] > 0, counts
+    assert all(counts[branch] > 0 for branch in BRANCHES), counts
 
 
 def test_local_search_matches_frozen_oracle_on_ties():
@@ -445,6 +503,7 @@ def test_local_search_matches_frozen_oracle_on_ties():
         s = Scalarizer(tuple(units / h), ScalarizerSpec(kind), ref)
         assert_matches_frozen_search(inst, start, s, ties)
     assert ties["ratio"] > 0 and ties["value"] > 0 and ties["near"] > 0, ties
+    assert all(ties[branch] > 0 for branch in BRANCHES), ties
 
 
 def test_local_search_matches_frozen_oracle_near_the_bound():
@@ -487,6 +546,8 @@ def test_local_search_matches_frozen_oracle_near_the_bound():
         s = Scalarizer(weights[n_obj], ScalarizerSpec(kind), ref)
         assert_matches_frozen_search(inst, start, s, counts)
     assert counts["skipped"] > 0 and counts["stopped"] > 0 and counts["near"] > 0, counts
+    # a twin covers the rows of its column, so every removal's rows stay coverable
+    assert all(counts[branch] > 0 for branch in BRANCHES if branch != "uncoverable"), counts
 
 
 def test_recombine_identical_parents():

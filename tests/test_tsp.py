@@ -612,6 +612,10 @@ def test_dpx_rejects_mismatched_city_sets():
     for pa, pb in (([0, 0, 1, 2], [0, 1, 0, 2]), ([0, 1, 2, 3, 3], [3, 0, 1, 2, 3])):
         with pytest.raises(ValueError, match="parents must visit each city once"):
             dpx_recombine(np.array(pa), np.array(pb), rng)
+    # ids outside 0..n-1 used to reach the offspring: [2 1 9 0]
+    for pa, pb, bad in (([0, 1, 2, 9], [9, 0, 2, 1], 9), ([-1, 0, 1, 2], [2, 1, 0, -1], -1)):
+        with pytest.raises(ValueError, match=f"^parent holds city {bad}, outside the cities 0..3$"):
+            dpx_recombine(pa, pb, rng)
 
 
 def test_dpx_rejects_ids_that_are_no_integer():
