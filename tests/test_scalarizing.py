@@ -438,7 +438,7 @@ def test_value_columns_bit_match_value_of_the_stacked_array():
         assert np.shape(got) == expected.shape, case
         assert bits(got) == bits(expected), case
         negative_zeros += int((np.signbit(expected) & (expected == 0.0)).sum())
-        seen.update({(spec.kind, spec.w_linear, stacked, normalized, j)})
+        seen.add((spec.kind, spec.w_linear, stacked, normalized, j))
     assert {"python float", "int", "float"} <= seen
     assert all((spec.kind, spec.w_linear, stacked, normalized, j) in seen
                for spec in specs for stacked in (False, True) for normalized in (False, True) for j in (2, 3))
