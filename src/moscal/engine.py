@@ -18,6 +18,7 @@ local optima.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Sequence
@@ -61,6 +62,40 @@ def check_exact_integers(bound: int, what: str) -> None:
     """Reject an instance whose integer objective sums may reach 2**53."""
     if bound >= EXACT_INT_LIMIT:
         raise ValueError(f"{what} is {bound}, at or above 2**53, where float objectives skip integers")
+
+
+def _is_int64(v: Any) -> bool:
+    """True for a Python or numpy integer, or an integral finite float, that
+    int64 holds."""
+    if isinstance(v, (int, np.integer)):
+        return -(2**63) <= v < 2**63
+    if isinstance(v, (float, np.floating)):
+        return math.isfinite(v) and v == math.floor(v) and -(2.0**63) <= v < 2.0**63
+    return False
+
+
+def integer_array(values: Any, what: str) -> np.ndarray:
+    """`values` as a C-contiguous int64 array of the same shape.
+
+    Integral floats such as 2.0 pass.  A ValueError names the first entry,
+    in row-major order, that int64 does not hold exactly: a fraction, nan,
+    inf, 2**63 or more, or no number at all.  A plain int64 cast would
+    truncate 1.7 to 1, and fail on inf inside numpy."""
+    a = np.asarray(values)
+    kind = a.dtype.kind
+    if kind in "bi":
+        bad = None
+    elif kind == "u":
+        bad = a >= 2**63
+    elif kind == "f":
+        bad = ~((a == np.floor(a)) & (a >= -(2.0**63)) & (a < 2.0**63))
+    else:  # Python ints beyond uint64, or other objects
+        bad = np.array([not _is_int64(v) for v in a.ravel().tolist()], dtype=bool).reshape(a.shape)
+    if bad is not None and bad.any():
+        at = tuple(int(i) for i in np.argwhere(bad)[0])
+        index = at[0] if len(at) == 1 else at
+        raise ValueError(f"{what} holds {a[at]} at index {index}, which is not an int64 integer")
+    return np.ascontiguousarray(a, dtype=np.int64)
 
 
 def integer_ids(seq: Sequence[int], what: str, noun: str) -> np.ndarray:

@@ -182,6 +182,8 @@ class Scalarizer:
     def value(self, z: np.ndarray) -> np.ndarray:
         """Scalarize an array of points, shape (..., J) -> (...)."""
         z = np.asarray(z, dtype=float)
+        if z.ndim == 0:
+            raise ValueError(f"points must have shape (..., {self.weights.shape[-1]}), got a scalar")
         if z.shape[-1] != self.weights.shape[-1]:
             raise ValueError(f"point dimension {z.shape[-1]} != weight dimension {self.weights.shape[-1]}")
         return self._scalarize(z)

@@ -32,7 +32,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_ids
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array, integer_ids
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -66,7 +66,7 @@ class ScpInstance:
     coverage: np.ndarray
 
     def __post_init__(self) -> None:
-        costs = np.ascontiguousarray(np.asarray(self.costs, dtype=np.int64))
+        costs = integer_array(self.costs, "cost matrix")
         coverage = np.ascontiguousarray(np.asarray(self.coverage, dtype=bool))
         if costs.ndim != 2 or coverage.ndim != 2:
             raise ValueError("costs and coverage must be 2-D")

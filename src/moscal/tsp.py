@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_ids
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array, integer_ids
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -40,7 +40,7 @@ class TspInstance:
     def __post_init__(self) -> None:
         if len(self.costs) < 1:
             raise ValueError("instance needs at least one cost matrix")
-        mats = tuple(np.ascontiguousarray(np.asarray(c, dtype=np.int64)) for c in self.costs)
+        mats = tuple(integer_array(c, f"objective {j + 1}'s cost matrix") for j, c in enumerate(self.costs))
         n = mats[0].shape[0]
         if n < 4:
             raise ValueError("instance needs at least 4 cities")

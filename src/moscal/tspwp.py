@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
-from .tsp import _city_ids, _common_fragments, _edge_set, _exchange_deltas, _invalid_pairs
+from .tsp import _city_ids, _common_fragments, _edge_set, _exchange_deltas, _invalid_bias, _invalid_pairs
 
 __all__ = [
     "TspwpInstance",
@@ -37,9 +38,6 @@ _BOUNDARY_WEIGHTS = ((0.999, 0.001), (0.001, 0.999))
 # the scalarizer of range estimation and of the adapter's runs
 _MIXED = ScalarizerSpec("mixed", w_linear=0.001, w_cheby=0.999)
 
-# the length change given to 2-opt pairs that are no move: above every real one
-_NO_MOVE = np.iinfo(np.int64).max
-
 
 @dataclass(frozen=True)
 class TspwpInstance:
@@ -49,8 +47,8 @@ class TspwpInstance:
     profits: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.ascontiguousarray(np.asarray(self.costs, dtype=np.int64))
-        p = np.ascontiguousarray(np.asarray(self.profits, dtype=np.int64))
+        c = integer_array(self.costs, "cost matrix")
+        p = integer_array(self.profits, "profit vector")
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError("cost matrix must be square")
         n = c.shape[0]
@@ -77,6 +75,17 @@ class TspwpInstance:
     def n_objectives(self) -> int:
         return 2
 
+    @cached_property
+    def _float_costs(self) -> np.ndarray:
+        """`costs` as floats, exact: every cost is an integer and n x max
+        cost < 2**53.  Built on first use, so set-up does not pay for it."""
+        return self.costs.astype(float)
+
+    @cached_property
+    def _float_profits(self) -> np.ndarray:
+        """`profits` as floats, exact: the total profit is below 2**53."""
+        return self.profits.astype(float)
+
 
 @dataclass(frozen=True)
 class ObjectiveRanges:
@@ -96,14 +105,17 @@ class ObjectiveRanges:
     def normalize(self, points: np.ndarray) -> np.ndarray:
         """(points - lows) / (highs - lows), shape (..., J) -> (..., J).
 
-        Computed one objective at a time into a C-contiguous array: the same
-        elementwise operations, without numpy's slow broadcasting over a
-        short last axis.
+        Computed one objective at a time into an array of the input's memory
+        layout: the same elementwise operations, without numpy's slow
+        broadcasting over a short last axis, and on contiguous columns when
+        the input's are (as in `tspwp_local_search`).
         """
         z = np.asarray(points, dtype=float)
+        if z.ndim == 0:
+            raise ValueError(f"points must have shape (..., {len(self.lows)}), got a scalar")
         if z.shape[-1] != len(self.lows):
             raise ValueError(f"point dimension {z.shape[-1]} != range dimension {len(self.lows)}")
-        out = np.empty(z.shape)
+        out = np.empty_like(z)
         for j, (low, high) in enumerate(zip(self.lows, self.highs)):
             column = out[..., j]
             np.subtract(z[..., j], low, out=column)
@@ -150,126 +162,144 @@ def tspwp_local_search(
     strictly improving best move is applied; stops at a local optimum of the
     union neighborhood.
 
-    The start sub-tour is validated once.  A step keeps the sub-tour closed on
-    both sides, te = (t[m-1], t[0], ..., t[m-1], t[0]), gathers the cost rows
-    of te once and reads every move's integer length change from them: the
-    columns of te for 2-opt, the columns of the absent cities for insertion
-    and exchange.  Each family writes its (length, -profit) points into the
-    next row block of one (N, 2) array, in the order edge, insert (k,), swap
-    (m, k), delete (m,) for m present and k absent cities, and one
-    `Scalarizer.value` call scores them all.  The move is the global argmin,
-    so ties go to the first of edge, insert, swap, delete and, within a
-    family, to the lowest index.
+    The start sub-tour is validated once.  A step lists the m present cities
+    closed on both sides, then the k absent ones: te = (t[m-1], t[0], ...,
+    t[m-1], t[0], absent...), n + 2 ids.  One row `take` and one column
+    `take` of the instance's float costs (`TspwpInstance._float_costs`) into
+    buffers reused by the whole search give the (m+2, n+2) costs between the
+    closed tour and te: Q, its first m+2 columns, is the closed tour against
+    itself, and A, the rest, the closed tour against the absent cities.  Every
+    length change is read from them: the tour's edges are `Q.diagonal(1)`, the
+    edge a deletion adds is `Q.diagonal(2)`, 2-opt reads Q and insertion and
+    exchange read A.  The costs are integers and n x max cost < 2**53 (checked
+    by `TspwpInstance`), so every float sum and difference here is the exact
+    integer, in any order.
+
+    Each family writes its moves' (length, -profit) points into the next
+    column block of one reused (2, N) buffer, in the order edge, insert (k,),
+    swap (m, k), delete (m,), and one `Scalarizer.value` call scores the
+    column-major (N, 2) view of it, whose per-objective columns are contiguous
+    (`ObjectiveRanges.normalize` keeps that layout).  The move is the global
+    argmin, so ties go to the first of edge, insert, swap, delete and, within
+    a family, to the lowest index.  An absent city's insertion is scored at
+    its cheapest position, `min` over the positions; the position, the first
+    of the cheapest, is found only for the insertion that is applied.
 
     Every 2-opt pair keeps the sub-tour's profit, and the scalarizer is
     nondecreasing in length (see `Scalarizer`), so the edge block holds two
-    points only: the pair e with the least integer length change dmin (the
-    first in row-major order, after the pairs that are no move are set to
-    `_NO_MOVE`), and a probe at dmin + 1.  No pair's change lies between the
-    two, so when the probe scores higher, e is the family's only best pair
-    and the probe is never picked.  When it does not, the scalarizer is flat
-    in length at dmin (a zero length weight, or a chebycheff term that the
-    profit dominates); the whole (m, m) block is then scored, as one more
-    `value` call, and its first minimum replaces e.
+    points only: the pair e with the least length change dmin, and a probe at
+    dmin + 1.  e is the first minimum in row-major order of the changes plus
+    the read-only 0/inf bias of the pairs that are no move (`_invalid_bias`);
+    adding 0.0 to an integer change leaves it exact.  No pair's change lies
+    between dmin and the probe, so when the probe scores higher, e is the
+    family's only best pair and the probe is never picked.  When it does not,
+    the scalarizer is flat in length at dmin (a zero length weight, or a
+    chebycheff term that the profit dominates); the whole (m, m) block of
+    unbiased changes is then scored, as one more `value` call (the biased ones
+    would put inf into the scalarizer, whose zero weight makes it a nan), and
+    its first minimum among the moves replaces e.
 
-    Every row of the array is the exact integer point of its move, with the
-    profit -(new total) signed as `tspwp_evaluate` signs it (-0.0 when
-    zero), so `value` of the row is the value of the sub-tour the move
-    makes, bit for bit.  Only the start is scored with `scalarizer(point)`;
-    each later step carries the value of the move that led to it, and the
-    search returns the last step's point.
+    Every column of the buffer is the exact integer point of its move, with
+    the profit -(new total) signed as `tspwp_evaluate` signs it (-0.0 when
+    zero), so `value` of the column is the value of the sub-tour the move
+    makes, bit for bit.  Only the start is summed and scored with
+    `scalarizer(point)`; each later step carries the point and value of the
+    move that led to it, and the search returns the last step's point.
     """
     t = _check_subtour(instance, subtour).copy()
-    costs, profits = instance.costs, instance.profits
-    present = np.zeros(instance.n, dtype=bool)
+    n = instance.n
+    costs, profits = instance._float_costs, instance._float_profits
+    present = np.zeros(n, dtype=bool)
     present[t] = True
-    value = None
+    rows = np.empty((n + 2, n))
+    closed = np.empty((n + 2, n + 2))
+    z = np.empty((2, n + 2 + n * n // 4))  # N <= 2 + k + m*k + m, m + k = n
+    point = value = None
     while True:
         m = t.size
-        te = np.concatenate((t[-1:], t, t[:1]))
+        absent = (~present).nonzero()[0]
+        k = absent.size
+        te = np.concatenate((t[-1:], t, t[:1], absent))
+        # mode="clip" is safe only because every id is a city; with the
+        # default mode numpy writes through a buffer
+        costs.take(te[: m + 2], axis=0, out=rows[: m + 2], mode="clip")
+        g = rows[: m + 2].take(te, axis=1, out=closed[: m + 2], mode="clip")
+        q, a = g[:, : m + 2], g[:, m + 2 :]
         # edges[i] = cost of <te[i], te[i+1]>: t's edge into position i is
         # edges[i], its edge out of it edges[i + 1]
-        edges = costs[te[:-1], te[1:]]
+        edges = q.diagonal(1)
         gained = profits[t]
-        through = edges[:-1] + edges[1:]  # both edges at each position
-        length, total = int(edges[1:].sum()), int(gained.sum())
-        point = (float(length), -float(total))
-        if value is None:
+        if point is None:
+            point = (float(edges[1:].sum()), -float(gained.sum()))
             value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)
-        absent = np.flatnonzero(~present)
-        k = absent.size
-        rows = costs[te]
-        # the row blocks of the families: edge [0, ins) (its best pair, then
-        # the probe), insert [ins, swp), swap [swp, dele), delete [dele, end);
-        # with n >= 4 cities some family always has a move
+        length = point[0]
+        left = -point[1] - gained  # the total profit without each present city
+        through = edges[:-1] + edges[1:]  # both edges at each position
+        # the column blocks of the families: edge [0, ins) (its best pair,
+        # then the probe), insert [ins, swp), swap [swp, dele), delete
+        # [dele, end); with n >= 4 cities some family always has a move
         ins = 2 if m >= 4 else 0
         swp = ins + k
         dele = swp + m * k
-        z = np.empty((dele + (m if m >= 2 else 0), 2))
+        end = dele + (m if m >= 2 else 0)
 
         if m >= 4:
             # 2-opt inside the sub-tour (length changes only)
-            deltas = _exchange_deltas(rows[1:, te[1:]])
-            deltas[_invalid_pairs(m)] = _NO_MOVE
-            edge = int(deltas.argmin())
-            dmin = int(deltas.flat[edge])
-            z[0] = length + dmin, point[1]
-            z[1] = length + dmin + 1, point[1]
+            deltas = _exchange_deltas(q[1:, 1:])
+            edge = int((deltas + _invalid_bias(m)).argmin())
+            z[0, 0] = length + deltas.flat[edge]
+            z[0, 1] = z[0, 0] + 1.0
+            z[1, :2] = point[1]
 
         if k:
-            to_absent = rows[:, absent]
             absent_profits = profits[absent]
-            # insertion: each absent city at its best (cheapest) position
-            if m == 1:
-                inc = 2 * to_absent[1]
-                best_pos = np.zeros(k, dtype=np.int64)
-            else:
-                inc_all = to_absent[1:-1] + to_absent[2:]
-                inc_all -= edges[1:, None]
-                best_pos = inc_all.argmin(axis=0)
-                inc = inc_all[best_pos, np.arange(k)]
-            np.add(point[0], inc, out=z[ins:swp, 0])
-            np.subtract(point[1], absent_profits, out=z[ins:swp, 1])
+            # insertion: each absent city at its cheapest position
+            inc_all = a[1:-1] + a[2:]
+            inc_all -= edges[1:, None]
+            np.add(length, inc_all.min(axis=0), out=z[0, ins:swp])
+            np.subtract(point[1], absent_profits, out=z[1, ins:swp])
 
             # exchange: absent city replaces a present one at its position
-            zs = z[swp:dele].reshape(m, k, 2)
+            swap_length = z[0, swp:dele].reshape(m, k)
             if m == 1:
-                zs[..., 0] = point[0]  # a single city has length 0 before and after
+                swap_length[...] = length  # a single city has length 0 before and after
             else:
-                d_len_x = to_absent[:-2] + to_absent[2:]
-                d_len_x -= through[:, None]
-                np.add(point[0], d_len_x, out=zs[..., 0])
-            # -0.0 - x is -float(x), -0.0 for a zero total as in tspwp_evaluate;
+                np.add(a[:-2], a[2:], out=swap_length)
+                swap_length -= (through - length)[:, None]
+            # -0.0 - x is -x, -0.0 for a zero total as in tspwp_evaluate;
             # -total + x would give +0.0
-            np.subtract(-0.0, (total - gained)[:, None] + absent_profits, out=zs[..., 1])
+            np.subtract(-0.0, left[:, None] + absent_profits, out=z[1, swp:dele].reshape(m, k))
 
         if m >= 2:
             # deletion of a present city
-            np.add(point[0], costs[te[:-2], te[2:]] - through, out=z[dele:, 0])
-            np.subtract(-0.0, total - gained, out=z[dele:, 1])
+            np.subtract(q.diagonal(2), through, out=z[0, dele:end])
+            z[0, dele:end] += length
+            np.subtract(-0.0, left, out=z[1, dele:end])
 
-        vals = scalarizer.value(z)
+        vals = scalarizer.value(z[:, :end].T)
         if m >= 4 and not vals[1] > vals[0]:
             # flat in length at dmin: the first best pair may lie above it
-            block = np.empty((m * m, 2))
-            np.add(point[0], deltas.ravel(), out=block[:, 0])
-            block[:, 1] = point[1]
-            block_vals = scalarizer.value(block)
+            block = np.empty((2, m * m))
+            np.add(length, deltas.ravel(), out=block[0])
+            block[1] = point[1]
+            block_vals = scalarizer.value(block.T)
             block_vals[_invalid_pairs(m).ravel()] = np.inf
             edge = int(block_vals.argmin())
             vals[:2] = block_vals[edge], np.inf
+            z[0, 0] = block[0, edge]
         best = int(vals.argmin())
         if not vals[best] < value - IMPROVEMENT_EPS:
             return t, point
         value = float(vals[best])
+        point = (float(z[0, best]), float(z[1, best]))
         if best < ins:
             i, j = divmod(edge, m)
             t[i + 1 : j + 1] = t[i + 1 : j + 1][::-1]
         elif best < swp:
             v = best - ins
-            pos, city = int(best_pos[v]), absent[v]
+            pos, city = int(inc_all[:, v].argmin()), absent[v]
             t = np.concatenate((t[: pos + 1], [city], t[pos + 1 :]))
             present[city] = True
         elif best < dele:

@@ -84,6 +84,22 @@ def test_instance_validation():
         ScpInstance(costs[:, :1], coverage)  # column count mismatch
 
 
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        (2.5, "cost matrix holds 2.5 at index \\(1, 0\\), which is not an int64 integer"),  # was 2
+        (np.inf, "cost matrix holds inf at index \\(1, 0\\), which is not an int64 integer"),
+        (2**64, "cost matrix holds 18446744073709551616 at index \\(1, 0\\), which is not an int64 integer"),
+    ],
+    ids=["fractional", "inf", "2_pow_64"],
+)
+def test_instance_rejects_costs_that_are_no_integer_by_name(entry, message):
+    coverage = np.array([[True, False], [False, True]])
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ScpInstance([[3, 4], [entry, 2]], coverage)
+    assert ScpInstance([[3.0, 4.0], [7.0, 2.0]], coverage).costs.tolist() == [[3, 4], [7, 2]]
+
+
 def test_instance_rejects_cost_sums_that_may_reach_2_pow_53():
     coverage = np.array([[True, False], [False, True]])
     with pytest.raises(ValueError, match="sum of objective 2's column costs is 9007199254740992"):

@@ -65,6 +65,27 @@ def test_instance_validation():
         TspInstance((neg,))
 
 
+@pytest.mark.parametrize(
+    "entry, shown",
+    [
+        (1.5, "1.5"),  # was read as 1
+        (np.inf, "inf"),
+        (np.nan, "nan"),
+        (2.0**63, "9.223372036854776e\\+18"),
+    ],
+    ids=["fractional", "inf", "nan", "2_pow_63"],
+)
+def test_instance_rejects_costs_that_are_no_integer_by_name(entry, shown):
+    good = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+    bad = good.astype(float)
+    bad[1, 2] = bad[2, 1] = entry
+    message = f"objective 2's cost matrix holds {shown} at index \\(1, 2\\), which is not an int64 integer"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TspInstance((good, bad))
+    # integral floats are integers
+    assert TspInstance((good.astype(float),)).costs[0].tolist() == good.tolist()
+
+
 def test_instance_rejects_tour_lengths_that_may_reach_2_pow_53():
     # a tour has n = 4 edges, so 4 x max cost bounds its length
     costs = np.full((4, 4), 2**51)

@@ -65,6 +65,29 @@ def test_instance_validation():
         TspwpInstance(asym, p)
 
 
+@pytest.mark.parametrize(
+    "costs_entry, profits, message",
+    [
+        (None, [1.7, 2, 3, 4], "profit vector holds 1.7 at index 0, which is not an int64 integer"),  # was 1
+        (None, np.array([1, 2, 3, 2**63], dtype=np.uint64),
+         "profit vector holds 9223372036854775808 at index 3, which is not an int64 integer"),
+        (1.5, [1, 2, 3, 4], "cost matrix holds 1.5 at index \\(0, 3\\), which is not an int64 integer"),  # was 1
+        (np.inf, [1, 2, 3, 4], "cost matrix holds inf at index \\(0, 3\\), which is not an int64 integer"),
+    ],
+    ids=["fractional_profit", "profit_2_pow_63", "fractional_cost", "inf_cost"],
+)
+def test_instance_rejects_entries_that_are_no_integer_by_name(costs_entry, profits, message):
+    good = np.array([[0, 2, 3, 4], [2, 0, 5, 6], [3, 5, 0, 7], [4, 6, 7, 0]], dtype=float)
+    c = good.copy()
+    if costs_entry is not None:
+        c[0, 3] = c[3, 0] = costs_entry
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        TspwpInstance(c, profits)
+    # integral floats are integers
+    inst = TspwpInstance(good, [1.0, 2, 3, 4])
+    assert inst.costs.dtype == inst.profits.dtype == np.int64 and inst.profits.tolist() == [1, 2, 3, 4]
+
+
 def test_instance_rejects_objective_sums_that_may_reach_2_pow_53():
     c = np.array([[0, 2, 3, 4], [2, 0, 5, 6], [3, 5, 0, 7], [4, 6, 7, 0]])
     with pytest.raises(ValueError, match="the total profit is 9007199254740992"):
@@ -214,6 +237,16 @@ def test_metric_deletion_never_increases_length():
         for pos in range(len(t)):
             shorter = t[:pos] + t[pos + 1 :]
             assert tspwp_evaluate(inst, shorter)[0] <= base_len
+
+
+def test_normalize_and_value_reject_a_scalar_by_shape():
+    # both used to fail with "IndexError: tuple index out of range"
+    r = ObjectiveRanges((0.0, -100.0), (50.0, 0.0))
+    with pytest.raises(ValueError, match=r"^points must have shape \(\.\.\., 2\), got a scalar$"):
+        r.normalize(5.0)
+    s = Scalarizer((0.5, 0.5), ScalarizerSpec("linear"), transform=r.normalize)
+    with pytest.raises(ValueError, match=r"^points must have shape \(\.\.\., 2\), got a scalar$"):
+        s.value(5.0)
 
 
 def test_objective_ranges_validation_and_normalize():
@@ -382,13 +415,19 @@ def frozen_value(weights, spec, reference, ranges, z):
     return spec.w_linear * fixed_order_dot(z, w) + spec.w_cheby * cheby
 
 
+TIE_KINDS = ("edge", "insert", "swap", "delete", "between", "edge dmin", "insert position")
+
+
 def frozen_local_search(instance, subtour, weights, spec, reference, ranges, value_trace, ties, slopes):
     """Oracle: the four-family descent as first written, re-deriving every
     step from scratch (setdiff1d, np.roll, np.stack, tspwp_evaluate).
 
     `ties` counts the steps where the minimum of a family is attained more
     than once ("edge", "insert", "swap", "delete") and where the best move
-    value is shared by more than one family ("between").  `slopes` counts
+    value is shared by more than one family ("between"); the steps where two
+    or more 2-opt pairs share the least length change dmin ("edge dmin");
+    and the applied insertions whose cheapest position is reached at two or
+    more positions ("insert position").  `slopes` counts
     the 2-opt steps where the value at the least length change dmin equals
     the value at dmin + 1 ("flat") and where it is below it ("rising")."""
 
@@ -426,6 +465,8 @@ def frozen_local_search(instance, subtour, weights, spec, reference, ranges, val
             cand = np.stack([point[0] + d_len, np.full((m, m), point[1])], axis=-1)
             vals = value_of(cand)
             dmin = d_len[ok].min()
+            if (d_len[ok] == dmin).sum() > 1:
+                ties["edge dmin"] += 1
             at_min, above = value_of([[point[0] + dmin, point[1]], [point[0] + dmin + 1, point[1]]])
             slopes["flat" if at_min == above else "rising"] += 1
             vals[~ok] = np.inf
@@ -437,15 +478,17 @@ def frozen_local_search(instance, subtour, weights, spec, reference, ranges, val
             if m == 1:
                 inc = 2 * costs[t[0], absent]
                 best_pos = np.zeros(absent.size, dtype=np.int64)
+                pos_tied = np.zeros(absent.size, dtype=bool)
             else:
                 inc_all = costs[t[:, None], absent[None, :]] + costs[nxt[:, None], absent[None, :]]
                 inc_all -= costs[t, nxt][:, None]
                 best_pos = inc_all.argmin(axis=0)
                 inc = inc_all[best_pos, np.arange(absent.size)]
+                pos_tied = (inc_all == inc).sum(axis=0) > 1
             cand = np.stack([point[0] + inc, point[1] - profits[absent].astype(float)], axis=-1)
             vals = value_of(cand)
             v = int(np.argmin(family_min("insert", vals)))
-            moves.append((float(vals[v]), ("insert", int(absent[v]), int(best_pos[v]))))
+            moves.append((float(vals[v]), ("insert", int(absent[v]), int(best_pos[v]), bool(pos_tied[v]))))
             if m == 1:
                 d_len_x = np.zeros((1, absent.size))
             else:
@@ -478,7 +521,8 @@ def frozen_local_search(instance, subtour, weights, spec, reference, ranges, val
             _, i, k = move
             t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]
         elif kind == "insert":
-            _, city, pos = move
+            _, city, pos, pos_tied = move
+            ties["insert position"] += pos_tied
             t = np.insert(t, pos + 1, city)
         elif kind == "swap":
             _, pos, city = move
@@ -509,7 +553,7 @@ def tied_instance(n, rng):
 def test_local_search_matches_frozen_oracle():
     # reps 4 and 5 take the lattice extremes (1, 0) and (0, 1)
     kinds = ("linear", "chebycheff", "mixed")
-    ties = dict.fromkeys(("edge", "insert", "swap", "delete", "between"), 0)
+    ties = dict.fromkeys(TIE_KINDS, 0)
     slopes = dict.fromkeys(("flat", "rising"), 0)
     cases = itertools.product(range(6), (False, True), kinds, (False, True), (1, 2, 3, 4, None))
     for case, (rep, tied, kind, normalized, size) in enumerate(cases):
@@ -548,7 +592,7 @@ def test_local_search_trace_keeps_the_sign_of_a_zero_value():
     # that collects nothing has profit -0.0 (as tspwp_evaluate writes it), and
     # its value can be -0.0 where a profit of +0.0 would give +0.0.  The
     # trace must keep the sign the oracle gives.
-    ties = dict.fromkeys(("edge", "insert", "swap", "delete", "between"), 0)
+    ties = dict.fromkeys(TIE_KINDS, 0)
     slopes = dict.fromkeys(("flat", "rising"), 0)
     negative_zeros = zero_profits = 0
     for case in range(200):
@@ -601,10 +645,11 @@ def test_value_columns_bit_matches_value_on_search_shapes():
 
 
 def test_value_of_flat_array_bit_matches_value_columns_per_family():
-    # tspwp_local_search scores the families as row blocks of one (N, 2)
-    # array: edge (m, m) when m >= 4, insert (k,) and swap (m, k) when k > 0,
-    # delete (m,) when m >= 2; each block of `value` of the flat array must
-    # score as its family alone
+    # tspwp_local_search scores the families as blocks of one (N, 2) array
+    # (the column-major view of a reused (2, N') buffer): edge (m, m) when
+    # m >= 4, insert (k,) and swap (m, k) when k > 0, delete (m,) when
+    # m >= 2; each block of `value` of the flat array must score as its
+    # family alone
     rng = np.random.default_rng(23)
     specs = (
         ScalarizerSpec("linear"),
@@ -648,6 +693,18 @@ def test_value_of_flat_array_bit_matches_value_columns_per_family():
             start = stop
         vals = s.value(z)
         assert vals.shape == (z.shape[0],)
+        # the search scores the column-major view of a wider (2, N') buffer:
+        # normalize keeps its layout, and both score as the C-contiguous copy
+        buf = np.full((2, z.shape[0] + case % 3), np.nan)
+        buf[:, : z.shape[0]] = z.T
+        columns = buf[:, : z.shape[0]].T
+        assert vals.tobytes() == s.value(columns).tobytes(), case
+        assert vals.tobytes() == frozen_value(weights, spec, ref, ranges, z).tobytes(), case
+        if ranges is not None:
+            normalized_columns, normalized_rows = ranges.normalize(columns), ranges.normalize(z)
+            assert normalized_columns.flags.f_contiguous and normalized_rows.flags.c_contiguous, case
+            assert np.array_equal(normalized_columns, normalized_rows), case
+            assert normalized_columns.tobytes(order="C") == normalized_rows.tobytes(), case
         start = 0
         for (name, columns), shape in zip(families, shapes):
             stop = start + math.prod(shape)
