@@ -117,7 +117,10 @@ def read_points_csv(path: str | Path) -> list[ObjectivePoint]:
         parts = line.split(",")
         if len(parts) != n_obj:
             raise ValueError(f"{path}:{i}: expected {n_obj} values, got {len(parts)}")
-        out.append(as_point(float(p) for p in parts))
+        try:
+            out.append(as_point(float(p) for p in parts))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{i}: {exc}") from None
     if not out:
         raise ValueError(f"{path}: archive file holds no points")
     return out

@@ -32,7 +32,7 @@ from .experiment import (
     read_results_csv,
 )
 from .indicators import hypervolume, r_measure, r_weight_set, union_reference_points
-from .instances import generate_instance
+from .instances import GENERATOR_PARAMS, generate_instance
 from .scalarizing import ScalarizerSpec
 
 __all__ = ["main", "build_parser"]
@@ -102,25 +102,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _gen(args) -> int:
-    params = {}
-    for flag, kinds in (
-        ("n", ("euclidean", "cluster", "profits")),
-        ("objectives", ("euclidean", "cluster")),
-        ("coord_range", ("euclidean", "cluster")),
-        ("clusters", ("cluster",)),
-        ("spread", ("cluster",)),
-        ("low", ("profits",)),
-        ("high", ("profits",)),
-        ("rows", ("scp", "scp3")),
-        ("cols", ("scp", "scp3")),
-        ("density", ("scp", "scp3")),
-    ):
-        value = getattr(args, flag)
-        if value is None:
-            continue
-        if args.kind not in kinds:
-            raise ValueError(f"--{flag.replace('_', '-')} does not apply to kind {args.kind!r}")
-        params[flag] = value
+    # every parameter flag given; generate_instance rejects those of other kinds
+    names = dict.fromkeys(name for required, optional in GENERATOR_PARAMS.values() for name in required + optional)
+    params = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
     paths = generate_instance(args.kind, args.out, args.seed, **params)
     for p in paths:
         print(p)

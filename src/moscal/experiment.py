@@ -68,6 +68,9 @@ class Problem:
     def load(self, paths: Sequence):
         if not paths or (self.file_count is not None and len(paths) != self.file_count):
             raise ValueError(self.needs)
+        for p in paths:
+            if not Path(p).is_file():
+                raise ValueError(f"instance file not found: {p}")
         return self.loader(*paths)
 
 
@@ -172,9 +175,6 @@ class ExperimentPlan:
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
         object.__setattr__(self, "instance_paths", tuple(str(p) for p in self.instance_paths))
-        for p in self.instance_paths:
-            if not Path(p).is_file():
-                raise ValueError(f"instance file not found: {p}")
         instance = self.load_instance()
         if not self.instance_name:
             object.__setattr__(self, "instance_name", Path(self.instance_paths[0]).stem)

@@ -31,6 +31,7 @@ __all__ = [
     "euclidean_cost_matrix",
     "generate_cluster_coords",
     "generate_euclidean_coords",
+    "GENERATOR_PARAMS",
     "generate_instance",
     "generate_profits",
     "generate_scp",
@@ -52,6 +53,16 @@ GENERATED_OBJECTIVES = 2
 _WRAP = 12  # integers per line in set-covering files
 _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
+# Each generator kind's (required, optional) parameters, as `generate_instance`
+# takes them and `moscal gen` spells them as flags
+GENERATOR_PARAMS = {
+    "euclidean": (("n",), ("objectives", "coord_range")),
+    "cluster": (("n",), ("objectives", "coord_range", "clusters", "spread")),
+    "profits": (("n",), ("low", "high")),
+    "scp": (("rows", "cols"), ("density",)),
+    "scp3": (("rows", "cols"), ("density",)),
+}
+
 
 class ParseError(ValueError):
     """Malformed instance file."""
@@ -70,9 +81,22 @@ def _read_lines(path) -> list[str]:
     return Path(path).read_text().splitlines()
 
 
-def _body_lines(lines: list[str]) -> list[tuple[int, str]]:
-    """The nonblank lines after the header, with their 1-based line numbers."""
-    return [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+def _counted_lines(path, count: str, entry: str) -> list[tuple[int, str]]:
+    """The body of a file whose first line is a positive count n: its n
+    nonblank lines after the header, with their 1-based line numbers."""
+    lines = _read_lines(path)
+    if not lines:
+        raise ParseError(path, 1, "empty file")
+    try:
+        n = int(lines[0])
+    except ValueError:
+        raise ParseError(path, 1, f"expected a {count} count, got {lines[0]!r}") from None
+    if n < 1:
+        raise ParseError(path, 1, f"{count} count must be positive, got {n}")
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
+    if len(body) != n:
+        raise ParseError(path, len(lines), f"expected {n} {entry} lines, found {len(body)}")
+    return body
 
 
 def _check_int64(path, lineno: int, value: int) -> int:
@@ -84,18 +108,8 @@ def _check_int64(path, lineno: int, value: int) -> int:
 
 def parse_tsp_objective(path) -> np.ndarray:
     """City coordinates from a TSP objective file, shape (n, 2)."""
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(path, 1, f"expected a city count, got {lines[0]!r}") from None
-    if n < 1:
-        raise ParseError(path, 1, f"city count must be positive, got {n}")
-    body = _body_lines(lines)
-    if len(body) != n:
-        raise ParseError(path, len(lines), f"expected {n} coordinate lines, found {len(body)}")
+    body = _counted_lines(path, "city", "coordinate")
+    n = len(body)
     coords = np.empty((n, 2), dtype=float)
     for i, (lineno, line) in enumerate(body):
         parts = line.split()
@@ -135,16 +149,8 @@ def euclidean_cost_matrix(coords) -> np.ndarray:
 
 
 def parse_profits(path) -> np.ndarray:
-    lines = _read_lines(path)
-    if not lines:
-        raise ParseError(path, 1, "empty file")
-    try:
-        n = int(lines[0])
-    except ValueError:
-        raise ParseError(path, 1, f"expected a profit count, got {lines[0]!r}") from None
-    body = _body_lines(lines)
-    if len(body) != n:
-        raise ParseError(path, len(lines), f"expected {n} profit lines, found {len(body)}")
+    body = _counted_lines(path, "profit", "profit")
+    n = len(body)
     profits = np.empty(n, dtype=np.int64)
     for i, (lineno, line) in enumerate(body):
         try:
@@ -368,8 +374,17 @@ def generate_instance(kind: str, out, seed: int, **params) -> list[Path]:
     (suffix `_objK.tsp`); `profits` writes one profit file; `scp` writes one
     2-objective covering file; `scp3` writes one 3-objective covering file
     built from two generated 2-objective instances sharing the first one's
-    coverage.
+    coverage.  `GENERATOR_PARAMS` names each kind's parameters.
     """
+    if kind not in GENERATOR_PARAMS:
+        raise ValueError(f"unknown instance kind {kind!r}")
+    required, optional = GENERATOR_PARAMS[kind]
+    for name in params:
+        if name not in required + optional:
+            raise ValueError(f"{name} does not apply to kind {kind!r}")
+    missing = [name for name in required if name not in params]
+    if missing:
+        raise ValueError(f"kind {kind!r} needs {' and '.join(missing)}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
@@ -391,14 +406,9 @@ def generate_instance(kind: str, out, seed: int, **params) -> list[Path]:
     if kind == "profits":
         n = int(params.pop("n"))
         return [write_profits(f"{out}.profits", generate_profits(n, rng, **params))]
+    rows, cols = int(params.pop("rows")), int(params.pop("cols"))
     if kind == "scp":
-        rows = int(params.pop("rows"))
-        cols = int(params.pop("cols"))
         return [write_scp(f"{out}.scp", generate_scp(rows, cols, rng, **params))]
-    if kind == "scp3":
-        rows = int(params.pop("rows"))
-        cols = int(params.pop("cols"))
-        first = generate_scp(rows, cols, rng, **params)
-        second = generate_scp(rows, cols, rng, **params)
-        return [write_scp(f"{out}.scp", combine_scp3(first, second))]
-    raise ValueError(f"unknown instance kind {kind!r}")
+    first = generate_scp(rows, cols, rng, **params)
+    second = generate_scp(rows, cols, rng, **params)
+    return [write_scp(f"{out}.scp", combine_scp3(first, second))]

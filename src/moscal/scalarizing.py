@@ -13,6 +13,12 @@ z_0*lambda_0 + z_1*lambda_1 (+ z_2*lambda_2 ...).  Every operation is
 elementwise, so a point gets the same bits whatever the shape or memory
 layout of the array that holds it, and on every machine; a BLAS dot product
 would not guarantee that.
+
+`Scalarizer._terms` is the one implementation of the kinds.  It runs on one
+column per objective: the columns of an array of points, or the components
+of a single point, Python floats then.  The weights of a single weight vector
+are Python floats too; an array times a Python float is the same float64
+product, so a point gets the same bits either way.
 """
 
 from __future__ import annotations
@@ -130,7 +136,8 @@ class Scalarizer:
     leading shape broadcasts against (N,), each under its own row.  The
     terms index `weights[..., j]`, so every row gets the operations, in the
     order, of a scalarizer bound to that row alone, and the same bits.
-    `__call__` takes one weight vector only.
+    `__call__` scores one point under one weight vector, through the same
+    terms on the point's components, and returns the bits of `value`.
 
     The transform must be elementwise and nondecreasing in each objective,
     as `ObjectiveRanges.normalize` is.  Then the value is nondecreasing in
@@ -164,15 +171,9 @@ class Scalarizer:
             self.reference = np.array(reference, dtype=float)
             if self.reference.shape != self.weights.shape[-1:]:
                 raise ValueError("reference point and weights disagree on dimension")
-        # Python floats for the per-point path of __call__
-        self._lambdas = self.weights.tolist()
         self._reference = None if self.reference is None else self.reference.tolist()
-        # weights[..., j] per objective, for the terms of value and value_columns
-        self._weight_columns = [self.weights[..., j] for j in range(self.weights.shape[-1])]
-
-    @property
-    def kind(self) -> str:
-        return self.spec.kind
+        # per objective: the weight as a Python float, or the column weights[:, j] of stacked weights
+        self._weight_columns = self.weights.tolist() if self.weights.ndim == 1 else list(self.weights.T)
 
     @property
     def is_plain_linear(self) -> bool:
@@ -186,7 +187,9 @@ class Scalarizer:
             raise ValueError(f"points must have shape (..., {self.weights.shape[-1]}), got a scalar")
         if z.shape[-1] != self.weights.shape[-1]:
             raise ValueError(f"point dimension {z.shape[-1]} != weight dimension {self.weights.shape[-1]}")
-        return self._scalarize(z)
+        if self.transform is not None:
+            z = self.transform(z)
+        return self._terms([z[..., j] for j in range(z.shape[-1])])
 
     def value_columns(self, *columns: np.ndarray | float) -> np.ndarray:
         """Scalarize points given one objective per argument -> (...).
@@ -201,7 +204,7 @@ class Scalarizer:
         result equals `value` of the stacked array bit for bit.  A transform
         maps whole points, so with one the columns are stacked first.
         """
-        j_count = self.weights.shape[-1]
+        j_count = len(self._weight_columns)
         if len(columns) != j_count:
             raise ValueError(f"{len(columns)} objective columns != weight dimension {j_count}")
         if self.transform is None:
@@ -209,27 +212,20 @@ class Scalarizer:
         z = np.empty(np.broadcast(*columns).shape + (j_count,))
         for j, column in enumerate(columns):
             z[..., j] = column
-        return self._scalarize(z)
-
-    def _scalarize(self, z: np.ndarray) -> np.ndarray:
-        """Transform, then the kind's terms on the (..., J) points' columns."""
-        if self.transform is not None:
-            z = self.transform(z)
-        return self._terms([z[..., j] for j in range(z.shape[-1])])
+        return self.value(z)
 
     def _terms(self, columns: Sequence[np.ndarray | float]) -> np.ndarray:
-        """The kind's terms and their mix, one objective per column."""
-        kind = self.spec.kind
-        if kind == "linear":
+        """The kind's terms and their mix, one objective per column.
+
+        The linear kind has the shares (1, 0) and chebycheff (0, 1), so a
+        zero share skips its term for every kind.
+        """
+        spec = self.spec
+        if spec.w_cheby == 0.0:
             return self._linear(columns)
-        cheby = self._chebycheff(columns)
-        if kind == "chebycheff":
-            return cheby
-        if self.spec.w_cheby == 0.0:
-            return self._linear(columns)
-        if self.spec.w_linear == 0.0:
-            return cheby
-        return self.spec.w_linear * self._linear(columns) + self.spec.w_cheby * cheby
+        if spec.w_linear == 0.0:
+            return self._chebycheff(columns)
+        return spec.w_linear * self._linear(columns) + spec.w_cheby * self._chebycheff(columns)
 
     def _linear(self, columns: Sequence[np.ndarray | float]) -> np.ndarray:
         """sum_j lambda_j * z_j, added left to right."""
@@ -253,35 +249,10 @@ class Scalarizer:
         return cheby
 
     def __call__(self, z: Sequence[float]) -> float:
-        """Scalarize one point; equals `value` of the 1-D point bit for bit.
-
-        Without a transform, the same operations run in the same order on
-        Python floats, which skips numpy's per-call overhead.  Ties of the
-        chebycheff max go to the later term, and a nan propagates, as in
-        `np.maximum`.
-        """
-        if self.transform is not None:
-            return float(self.value(np.asarray(z, dtype=float)))
-        z = [float(v) for v in z]
-        w = self._lambdas
-        if len(z) != len(w):
-            raise ValueError(f"point dimension {len(z)} != weight dimension {len(w)}")
-        kind = self.spec.kind
-        if kind != "chebycheff":
-            lin = z[0] * w[0]
-            for j in range(1, len(w)):
-                lin = lin + z[j] * w[j]
-            if kind == "linear" or self.spec.w_cheby == 0.0:
-                return lin
-        ref = self._reference
-        cheby = w[0] * (z[0] - ref[0])
-        for j in range(1, len(w)):
-            term = w[j] * (z[j] - ref[j])
-            if term >= cheby or term != term:
-                cheby = term
-        if kind == "chebycheff" or self.spec.w_linear == 0.0:
-            return cheby
-        return self.spec.w_linear * lin + self.spec.w_cheby * cheby
+        """Scalarize one point: `value_columns` of its components, as a float."""
+        if len(z) != len(self._weight_columns):
+            raise ValueError(f"point dimension {len(z)} != weight dimension {len(self._weight_columns)}")
+        return float(self.value_columns(*z))
 
 
 def uniform_weight_count(n_objectives: int, granularity: int) -> int:

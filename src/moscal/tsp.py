@@ -279,12 +279,7 @@ class _Moves:
         self.scalarizer = scalarizer
         self.plain = scalarizer.is_plain_linear
         if self.plain:
-            # sum_j lambda_j * m_j, added left to right in place
-            lam = scalarizer.weights.tolist()
-            combined = instance.costs[0] * lam[0]
-            for l, c in zip(lam[1:], instance.costs[1:]):
-                combined += c * l
-            self.costs = [combined]
+            self.costs = [scalarizer.value_columns(*instance.costs)]
         else:
             self.costs = list(instance.costs)
 

@@ -125,6 +125,16 @@ def test_csv_malformed_rejected(tmp_path):
     p.write_text("obj1,obj2\n")
     with pytest.raises(ValueError, match="bad.csv: archive file holds no points"):
         read_points_csv(p)
+    # a bad value names its file and line
+    for text, line, message in (
+        ("obj1,obj2\n1.0,2.0\n1.0,x\n", 3, "could not convert string to float: 'x'"),
+        ("obj1,obj2\n\n1.0,inf\n", 3, "objective point has non-finite component: (1.0, inf)"),
+        ("obj1\n1.0\n", 2, "objective point needs at least 2 components, got 1"),
+    ):
+        p.write_text(text)
+        with pytest.raises(ValueError) as info:
+            read_points_csv(p)
+        assert str(info.value) == f"{p}:{line}: {message}"
 
 
 @given(

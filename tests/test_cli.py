@@ -156,12 +156,15 @@ def test_run_rejects_bad_rank_and_seed_before_running(tsp_files, tmp_path, capsy
         (["--kind", "cluster", "--n", "8", "--spread", "-1"], "spread must be nonnegative and finite, got -1.0"),
         (["--kind", "euclidean", "--n", "8", "--coord-range", "nan"], "coord_range must be positive and finite, got nan"),
         (["--kind", "cluster", "--n", "8", "--coord-range", "inf"], "coord_range must be positive and finite, got inf"),
+        (["--kind", "euclidean"], "kind 'euclidean' needs n"),
+        (["--kind", "scp", "--rows", "6"], "kind 'scp' needs cols"),
     ],
-    ids=["negative-seed", "nan-spread", "inf-spread", "negative-spread", "nan-coord-range", "inf-coord-range"],
+    ids=["negative-seed", "nan-spread", "inf-spread", "negative-spread", "nan-coord-range", "inf-coord-range",
+         "euclidean-without-n", "scp-without-cols"],
 )
 def test_gen_rejects_bad_seed_spread_and_range(tmp_path, capsys, args, message):
     # a nan or inf spread wrote a file of non-finite coordinates; the others
-    # failed inside numpy
+    # failed inside numpy, or printed "error: 'n'" and "error: 'cols'"
     assert run_cli("gen", *args, "--out", str(tmp_path / "g")) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not list(tmp_path.glob("g*"))
@@ -226,6 +229,8 @@ def test_eval_rejects_unscorable_archives(tmp_path, capsys):
     two.write_text("obj1,obj2\n1,2\n2,1\n")
     four.write_text("obj1,obj2,obj3,obj4\n1,2,3,4\n4,3,2,1\n")
     empty.write_text("obj1,obj2\n")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("obj1,obj2\n1.0,2.0\n3.0,x\n")
     capsys.readouterr()
     for argv, message in (
         (["--archive", str(four)], "2 or all have 3 objectives, got [4]"),
@@ -233,6 +238,7 @@ def test_eval_rejects_unscorable_archives(tmp_path, capsys):
         (["--archive", str(two), str(four), "--ref-mode", "explicit",
           "--z-ref", "0", "0", "--hv-ref", "9", "9"], "got [2, 4]"),
         (["--archive", str(empty)], "empty.csv: archive file holds no points"),
+        (["--archive", str(bad)], f"{bad}:3: could not convert string to float: 'x'"),
         # R read nan and HV inf, and the run exited 0
         (["--archive", str(two), "--ref-mode", "explicit",
           "--z-ref", "nan", "0", "--hv-ref", "1e9", "1e9"], "reference contains non-finite values: (nan, 0.0)"),
@@ -307,9 +313,17 @@ def test_compare_and_table(tsp_files, tmp_path, capsys):
     assert len(grid) == 3
 
 
-def test_missing_file_errors(tmp_path, capsys):
+def test_missing_file_errors(tsp_files, tmp_path, capsys):
     assert run_cli("compare", "--results", str(tmp_path / "none.csv")) == 1
     assert "error:" in capsys.readouterr().err
+    # a missing instance file printed "[Errno 2] No such file or directory"
+    missing, out = str(tmp_path / "missing.tsp"), tmp_path / "x.csv"
+    assert run_cli(
+        "run", "--problem", "mstsp", "--method", "mogls", "--instance", tsp_files[0], missing,
+        "--generations", "1", "--weights", "6", "--out", str(out),
+    ) == 1
+    assert capsys.readouterr().err.strip() == f"error: instance file not found: {missing}"
+    assert not out.exists()
 
 
 def test_unknown_command_exits_nonzero():

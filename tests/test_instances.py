@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moscal.instances import (
+    GENERATOR_PARAMS,
     ParseError,
     combine_scp3,
     euclidean_cost_matrix,
@@ -112,6 +113,36 @@ def test_profits_round_trip_and_errors(tmp_path):
     negative.write_text("2\n5\n-2\n")
     with pytest.raises(ParseError, match="negative.profits:3: profit -2 is negative"):
         parse_profits(negative)
+
+
+@pytest.mark.parametrize(
+    "parse, count, entry, good",
+    [(parse_tsp_objective, "city", "coordinate", "1 2"), (parse_profits, "profit", "profit", "7")],
+    ids=["coordinates", "profits"],
+)
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("", 1, "empty file"),
+        ("x\n{good}\n", 1, "expected a {count} count, got 'x'"),
+        ("0\n", 1, "{count} count must be positive, got 0"),
+        ("-1\n", 1, "{count} count must be positive, got -1"),
+        ("2\n{good}\n", 2, "expected 2 {entry} lines, found 1"),
+        ("1\n{good}\n\n{good}\n", 4, "expected 1 {entry} lines, found 2"),
+    ],
+    ids=["empty", "no-count", "zero", "negative", "too-few", "too-many"],
+)
+def test_counted_files_share_one_reader(tmp_path, parse, count, entry, good, text, line, message):
+    # a profit count of 0 read as an empty vector, and one of -1 failed on
+    # the line count; both file types now check the header alike
+    path = tmp_path / "counted.txt"
+    path.write_text(text.format(good=good))
+    with pytest.raises(ParseError) as info:
+        parse(path)
+    assert (info.value.path, info.value.line) == (str(path), line)
+    assert info.value.message == message.format(count=count, entry=entry)
+    path.write_text(f"2\n{good}\n\n{good}\n")  # blank lines are skipped
+    assert len(parse(path)) == 2
 
 
 def test_scp_round_trip(tmp_path):
@@ -233,6 +264,26 @@ def test_generate_instance_rejects_negative_seed(tmp_path):
     with pytest.raises(ValueError, match="^seed must be >= 0, got -2$"):
         generate_instance("scp", tmp_path / "c", seed=-2, rows=6, cols=15)
     assert not list(tmp_path.iterdir())
+
+
+def test_generate_instance_checks_parameters_against_its_table(tmp_path):
+    values = dict(n=8, objectives=2, coord_range=100.0, clusters=2, spread=1.0,
+                  low=1, high=5, rows=5, cols=12, density=0.3)
+    assert {name for req, opt in GENERATOR_PARAMS.values() for name in req + opt} == set(values)
+    for kind, (required, optional) in GENERATOR_PARAMS.items():
+        # every parameter of the table reaches the generator
+        params = {name: values[name] for name in required + optional}
+        assert generate_instance(kind, tmp_path / kind, seed=1, **params)
+        for name in required:  # a missing one used to fail as a bare KeyError
+            partial = {k: v for k, v in params.items() if k != name}
+            with pytest.raises(ValueError, match=f"^kind '{kind}' needs {name}$"):
+                generate_instance(kind, tmp_path / "x", seed=1, **partial)
+        for name in set(values) - set(required + optional):
+            with pytest.raises(ValueError, match=f"^{name} does not apply to kind '{kind}'$"):
+                generate_instance(kind, tmp_path / "x", seed=1, **params, **{name: values[name]})
+    with pytest.raises(ValueError, match="^kind 'scp' needs rows and cols$"):
+        generate_instance("scp", tmp_path / "x", seed=1)
+    assert not list(tmp_path.glob("x*"))
 
 
 def test_generate_profits_range():

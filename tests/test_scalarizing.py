@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -200,6 +201,80 @@ def test_scalarizer_batch_matches_scalar_calls():
             tied = (terms == terms.max(axis=1, keepdims=True)).sum(axis=1) > 1
             signed_zero_ties += int((tied & (terms.max(axis=1) == 0.0)).sum())
     assert signed_zero_ties > 0
+
+
+def frozen_call(s, z):
+    """`Scalarizer.__call__` as it was written before it ran the shared
+    terms: the kinds a second time on Python floats, with the tie and nan
+    rules of `np.maximum` by hand.  A transform maps the point first."""
+    if s.transform is None:
+        z = [float(v) for v in z]
+    else:
+        z = s.transform(np.asarray(z, dtype=float)).tolist()
+    w = s.weights.tolist()
+    kind = s.spec.kind
+    if kind != "chebycheff":
+        lin = z[0] * w[0]
+        for j in range(1, len(w)):
+            lin = lin + z[j] * w[j]
+        if kind == "linear" or s.spec.w_cheby == 0.0:
+            return lin
+    ref = s.reference.tolist()
+    cheby = w[0] * (z[0] - ref[0])
+    for j in range(1, len(w)):
+        term = w[j] * (z[j] - ref[j])
+        if term >= cheby or term != term:
+            cheby = term
+    if kind == "chebycheff" or s.spec.w_linear == 0.0:
+        return cheby
+    return s.spec.w_linear * lin + s.spec.w_cheby * cheby
+
+
+def test_call_bit_matches_the_frozen_python_float_path():
+    # __call__ runs the terms that score arrays on the point's components;
+    # it must give the bits of the Python-float copy it replaced: every kind
+    # and mix share, J = 2 and 3, with and without a transform, on points
+    # around the reference (0.0 and -0.0 chebycheff terms that tie), with
+    # a nan in each position, and as int and float tuples and arrays
+    specs = (
+        ScalarizerSpec("linear"),
+        ScalarizerSpec("chebycheff"),
+        ScalarizerSpec("mixed", w_linear=0.0),
+        ScalarizerSpec("mixed", w_linear=0.5),
+        ScalarizerSpec("mixed", w_linear=1.0),
+    )
+    rng = np.random.default_rng(43)
+    signed_zero_ties = nans = 0
+    seen = set()
+    for j, spec, normalized in itertools.product((2, 3), specs, (False, True)):
+        for lam in generate_uniform_weights(j, 4):
+            ref = tuple(float(v) for v in rng.choice([-1.0, 0.0, 0.5], size=j))
+            lows = rng.integers(-3, 1, size=j).astype(float)
+            ranges = ObjectiveRanges(tuple(lows.tolist()), tuple((lows + 4.0).tolist()))
+            s = Scalarizer(lam, spec, ref, ranges.normalize if normalized else None)
+            # around the reference, in the space the terms see
+            grid = [tuple(r + d for r, d in zip(ref, step)) for step in itertools.product((-1.0, 0.0, 1.0), repeat=j)]
+            if normalized:
+                grid = [tuple((lows + 4.0 * np.asarray(z)).tolist()) for z in grid]
+            points = []
+            for z in grid:
+                points += [z, np.asarray(z)]
+                if all(v.is_integer() for v in z):
+                    points += [tuple(int(v) for v in z), np.asarray(z, dtype=np.int64)]
+                for pos in range(j):
+                    points.append(z[:pos] + (math.nan,) + z[pos + 1:])
+            for z in points:
+                got, want = s(z), frozen_call(s, z)
+                assert type(got) is float
+                assert bits(got) == bits(want), (spec, lam, ref, normalized, z)
+                nans += math.isnan(want)
+                seen.add((type(z), np.asarray(z).dtype.kind))
+            if spec.kind == "chebycheff" and not normalized:
+                terms = s.weights * (np.asarray(grid) - ref)
+                tied = (terms == terms.max(axis=1, keepdims=True)).sum(axis=1) > 1
+                signed_zero_ties += int((tied & (terms.max(axis=1) == 0.0) & np.signbit(terms).any(axis=1)).sum())
+    assert signed_zero_ties > 0 and nans > 0
+    assert {(tuple, "f"), (tuple, "i"), (np.ndarray, "f"), (np.ndarray, "i")} <= seen
 
 
 def test_scalarizer_call_propagates_nan_like_value():

@@ -524,6 +524,31 @@ def test_exchange_deltas_keep_summation_order():
     assert listed_reordered >= 10  # also on the moves the lists allow
 
 
+def test_plain_linear_cost_matrix_bit_matches_the_frozen_in_place_sum():
+    # a plain linear scalarizer scores 2-opt moves on `value_columns` of the
+    # cost matrices; every entry keeps the bits of the in-place weighted sum
+    # the search built before, objectives added left to right
+    rng = np.random.default_rng(47)
+    reordered = 0
+    for case in range(40):
+        n_obj = 2 + case % 2
+        inst = random_instance(int(rng.integers(5, 40)), n_obj, rng, scale=int(rng.choice([10, 10**4, 10**7])))
+        lam = rng.dirichlet(np.ones(n_obj))
+        if case % 4 == 0:
+            lam[0], lam[1] = 0.0, lam[0] + lam[1]
+        s = Scalarizer(tuple(lam), ScalarizerSpec("linear"))
+        w = s.weights.tolist()
+        frozen = inst.costs[0] * w[0]
+        for l, c in zip(w[1:], inst.costs[1:]):
+            frozen += c * l
+        (weighted,) = tsp._Moves(inst, s).costs
+        assert weighted.dtype == np.float64 and weighted.tobytes() == frozen.tobytes(), case
+        if n_obj == 3:
+            backwards = inst.costs[2] * w[2] + inst.costs[1] * w[1] + inst.costs[0] * w[0]
+            reordered += backwards.tobytes() != frozen.tobytes()
+    assert reordered >= 10  # the inputs do tell the summation orders apart
+
+
 def test_move_list_scalarizes_like_the_dense_path():
     # chebycheff and mixed moves are scalarized from one column per
     # objective; each value equals the entry `Scalarizer.value` gives its
