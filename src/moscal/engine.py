@@ -64,6 +64,13 @@ def check_exact_integers(bound: int, what: str) -> None:
         raise ValueError(f"{what} is {bound}, at or above 2**53, where float objectives skip integers")
 
 
+def check_integer(value: Any, what: str) -> None:
+    """Reject a count or seed that is no Python or numpy integer; a float
+    such as 1.5 would fail later, deep inside a loop or numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
 def _is_int64(v: Any) -> bool:
     """True for a Python or numpy integer, or an integral finite float, that
     int64 holds."""
@@ -156,6 +163,12 @@ class ProblemAdapter:
         return ScalarizerSpec("linear")
 
 
+# the counts and the seed of a run; weight_count and main_iterations may be None
+_INTEGER_FIELDS = (
+    "objectives", "generations", "weight_count", "neighborhood_size", "max_replacements", "seed", "main_iterations"
+)
+
+
 @dataclass(frozen=True)
 class MethodConfig:
     """Everything one run needs besides the problem itself.
@@ -181,6 +194,10 @@ class MethodConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            if value is not None:
+                check_integer(value, name)
         if self.objectives < 2:
             raise ValueError("need at least 2 objectives")
         if self.generations < 0:

@@ -25,7 +25,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .archive import write_points_csv
-from .engine import METHODS, MethodConfig, ProblemAdapter, run_method
+from .engine import METHODS, MethodConfig, ProblemAdapter, check_integer, run_method
 from .indicators import (
     hypervolume,
     r_measure,
@@ -170,6 +170,8 @@ class ExperimentPlan:
             raise ValueError(f"methods must be drawn from {METHODS}")
         if len(set(self.methods)) != len(self.methods):
             raise ValueError("duplicate method in plan")
+        for name in ("replications", "seed_base", "workers"):
+            check_integer(getattr(self, name), name)
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.workers < 1:

@@ -28,7 +28,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .scalarizing import ObjectivePoint, generate_uniform_weights, granularity_for_count
+from .scalarizing import ObjectivePoint, generate_uniform_weights, granularity_for_count, uniform_weight_count
 
 __all__ = [
     "R_WEIGHT_GRANULARITY",
@@ -79,6 +79,12 @@ def r_weight_set(n_objectives: int, count: int | None = None) -> np.ndarray:
     """
     if count is not None:
         granularity = granularity_for_count(n_objectives, count)
+        if granularity < 1:  # the one-vector lattice of granularity 0
+            smallest = uniform_weight_count(n_objectives, 1)
+            raise ValueError(
+                f"R weight count {count} is too small: the smallest simplex lattice for "
+                f"{n_objectives} objectives has {smallest} weights"
+            )
     elif n_objectives in R_WEIGHT_GRANULARITY:
         granularity = R_WEIGHT_GRANULARITY[n_objectives]
     else:

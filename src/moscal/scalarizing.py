@@ -161,6 +161,12 @@ class Scalarizer:
                 raise ValueError("stacked weight vectors disagree on dimension")
             self.weights = np.array([w.lambdas for w in weights], dtype=float)
         else:
+            nested = next((v for v in weights if np.ndim(v)), None)
+            if nested is not None:
+                raise ValueError(
+                    "weights must be one weight vector (a WeightVector or a flat sequence of numbers) "
+                    f"or a sequence of WeightVectors; got an entry of shape {np.shape(nested)}"
+                )
             self.weights = np.asarray(WeightVector(tuple(float(v) for v in weights)).lambdas, dtype=float)
         self.spec = spec
         self.transform = transform

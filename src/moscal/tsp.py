@@ -107,10 +107,11 @@ class CandidateLists:
     `two_opt_local_search` with lists follows bit for bit the trajectory of
     the full scan masked by the lists.  Sparse lists score only the moves
     built from their P directed pairs (`pairs`, `own_edges`); lists with
-    more than n²/2 moves take the dense scan masked by `bias`.  Each of
-    these arrays is built once per lists object and read-only, so a run
-    that shares one `CandidateLists` across its local searches builds it
-    once.
+    more than n²/2 moves take the dense scan, which looks its winning move's
+    two added edges up in `bias` and gathers `bias` as a mask only when
+    neither is listed.  Each of these arrays is built once per lists object
+    and read-only, so a run that shares one `CandidateLists` across its
+    local searches builds it once.
     """
 
     members: tuple[frozenset[int], ...]
@@ -220,10 +221,11 @@ class _TourOrder:
     """A reused buffer holding a matrix in tour order with row stride n+1.
 
     After `gather(m, te)`, flat[i*(n+1) + k] = m[te[i], te[k]] for i, k in
-    0..n (te closed: te[n] == te[0]), and the last entry is a pad.  The
-    stride puts m[te[i+1], te[k+1]] n+2 entries after m[te[i], te[k]], so
-    `first[f]` and `second[f]`, f = i*(n+1) + k < n*(n+1), are the two
-    edges that move (i, k) adds.
+    0..n (te closed: te[n] == te[0]), and the last entry is a pad that stays
+    0.  The stride puts m[te[i+1], te[k+1]] n+2 entries after m[te[i],
+    te[k]], so `first[f]` and `second[f]`, f = i*(n+1) + k < n*(n+1), are
+    the two edges that move (i, k) adds, and the same stride from entry 1
+    walks the edges the tour holds, ending on the pad (`removed`).
     """
 
     def __init__(self, n: int, dtype: np.dtype):
@@ -231,6 +233,8 @@ class _TourOrder:
         self.square = self.flat[:-1].reshape(n + 1, n + 1)
         self.rows = np.empty((n + 1, n), dtype=dtype)
         self.first, self.second = self.flat[: n * (n + 1)], self.flat[n + 2 :]
+        # m[te[i], te[i+1]] for i < n, the edge leaving position i, then the pad
+        self.removed = self.flat[1 :: n + 2]
 
     def gather(self, m: np.ndarray, te: np.ndarray) -> None:
         # mode="clip" is safe only because `_check_tour` has validated the
@@ -271,7 +275,9 @@ class _Moves:
     delta plus the current value.  Any other scores the point plus the
     move's integer deltas, one column per objective, with
     `Scalarizer.value_columns`, which equals `Scalarizer.value` of the
-    stacked (..., J) array bit for bit.
+    stacked (..., J) array bit for bit.  Either way each matrix's deltas get
+    an offset added last: the value to the plain kind's one matrix, else
+    each objective's component of the point.
     """
 
     def __init__(self, instance: TspInstance, scalarizer: Scalarizer):
@@ -283,15 +289,6 @@ class _Moves:
         else:
             self.costs = list(instance.costs)
 
-    def _scalarize(self, deltas: list[np.ndarray], point: list[int], value: float) -> np.ndarray:
-        if self.plain:
-            vals = deltas[0]
-            vals += value
-            return vals
-        for p, d in zip(point, deltas):
-            d += p
-        return self.scalarizer.value_columns(*deltas)
-
 
 class _DenseMoves(_Moves):
     """Every position pair (i, k): the search without candidate lists, and
@@ -300,17 +297,25 @@ class _DenseMoves(_Moves):
     A step gathers each matrix into tour order (`_TourOrder`, one flat
     buffer of row stride n+1, reused across steps) and scores the moves in
     n rows of n+1 entries, column n a pad: one contiguous add of the two
-    added edges, then the removed edges subtracted through a padded row of
-    length n+1 (its pad 0), per row and per column.  A cached 0/inf bias
-    (`_padded_bias`), inf where `_invalid_pairs` marks the pair and on the
-    pad column, is added to the scalarized values: x + 0.0 == x, so each
-    valid move keeps its bits and every other entry reads inf.
+    added edges, then the removed edges subtracted per row and per column
+    through `_TourOrder.removed`, a view of n+1 entries (its pad 0) into the
+    same buffer.  A cached 0/inf bias (`_padded_bias`), inf where
+    `_invalid_pairs` marks the pair and on the pad column, is added to the
+    scalarized values: x + 0.0 == x, so each valid move keeps its bits and
+    every other entry reads inf.
 
     With a candidate bias (`CandidateLists.bias`: 0 where c is in cand(a),
-    inf elsewhere), each step also gathers it into tour order with the same
-    offsets.  `np.minimum` of a move's two added edges reads 0 exactly when
-    c is in cand(a) or d is in cand(b), and this mask is added last; every
-    allowed move keeps the bits the move list gives it.
+    inf elsewhere), the mask is the bias gathered into tour order with the
+    same offsets: `np.minimum` of a move's two added edges reads 0 exactly
+    when c is in cand(a) or d is in cand(b), and is added last, so every
+    allowed move keeps the bits the move list gives it.  `values` always
+    adds it.  `best` first takes the argmin without it and looks the
+    winner's two added edges up in the bias; only when neither is listed
+    does it gather the mask, add it and take the argmin again.  A listed
+    first minimum of the unmasked values is also the first minimum of the
+    masked ones, since masking adds 0 to it and 0 or inf elsewhere, so both
+    give the same move and value.  The mask buffers are allocated at the
+    first step that needs them.
 
     The arrays that `values` and `best` read are reused: a returned view is
     valid only until the next call.
@@ -321,47 +326,60 @@ class _DenseMoves(_Moves):
         n = self.n
         self.bias = _padded_bias(n)
         self.order = _TourOrder(n, self.costs[0].dtype)
-        self.diagonal = self.order.square.diagonal(1)  # p[i, i+1]: the edge leaving position i
-        self.removed = np.zeros(n + 1, dtype=self.costs[0].dtype)
-        self.removed_head, self.removed_col = self.removed[:n], self.removed[:n, None]
+        self.removed = self.order.removed
+        self.removed_col = self.removed[:n, None]
         self.deltas = [np.empty(n * (n + 1), dtype=c.dtype) for c in self.costs]
         self.grids = [d.reshape(n, n + 1) for d in self.deltas]
         self.candidate_bias = candidate_bias
-        if candidate_bias is not None:
-            self.mask_order = _TourOrder(n, candidate_bias.dtype)
-            self.mask = np.empty(n * (n + 1))
+        self.mask_order: _TourOrder | None = None
+        self.mask: np.ndarray | None = None
 
     def _values(self, te: np.ndarray, point: list[int], value: float) -> np.ndarray:
-        """The values in padded rows: move (i, k) at i*(n+1) + k."""
-        order = self.order
-        for c, d, grid in zip(self.costs, self.deltas, self.grids):
+        """The unmasked values in padded rows: move (i, k) at i*(n+1) + k."""
+        order, removed, removed_col = self.order, self.removed, self.removed_col
+        first, second = order.first, order.second
+        for c, d, grid, offset in zip(self.costs, self.deltas, self.grids, (value,) if self.plain else point):
             order.gather(c, te)
-            np.add(order.first, order.second, out=d)
-            np.copyto(self.removed_head, self.diagonal)
-            grid -= self.removed_col
-            grid -= self.removed
-        vals = self._scalarize(self.deltas, point, value)
+            np.add(first, second, out=d)
+            grid -= removed_col
+            grid -= removed
+            d += offset
+        vals = self.deltas[0] if self.plain else self.scalarizer.value_columns(*self.deltas)
         vals += self.bias
-        if self.candidate_bias is not None:
-            masks = self.mask_order
-            masks.gather(self.candidate_bias, te)
-            np.minimum(masks.first, masks.second, out=self.mask)
-            vals += self.mask
         return vals
+
+    def _add_mask(self, vals: np.ndarray, te: np.ndarray) -> None:
+        """Add the candidate mask, gathered into tour order, to `vals`."""
+        if self.mask is None:
+            self.mask_order = _TourOrder(self.n, self.candidate_bias.dtype)
+            self.mask = np.empty(self.n * (self.n + 1))
+        masks = self.mask_order
+        masks.gather(self.candidate_bias, te)
+        np.minimum(masks.first, masks.second, out=self.mask)
+        vals += self.mask
 
     def values(self, te: np.ndarray, point: list[int], value: float) -> np.ndarray:
         """The (n, n) value of every move (i, k), inf where `_invalid_pairs`
         marks it or the candidate bias masks it; a view of a reused array."""
         n = self.n
-        return self._values(te, point, value).reshape(n, n + 1)[:, :n]
+        vals = self._values(te, point, value)
+        if self.candidate_bias is not None:
+            self._add_mask(vals, te)
+        return vals.reshape(n, n + 1)[:, :n]
 
     def best(self, te: np.ndarray, point: list[int], value: float) -> tuple[int, float]:
         """The best move's flat index i*n + k and its value; ties go to the
         lowest i*n + k, since the pad column reads inf."""
+        n = self.n
         vals = self._values(te, point, value)
         at = int(vals.argmin())
-        i, k = divmod(at, self.n + 1)
-        return i * self.n + k, vals.item(at)
+        i, k = divmod(at, n + 1)
+        bias = self.candidate_bias
+        if bias is not None and bias.item(te.item(i), te.item(k)) and bias.item(te.item(i + 1), te.item(k + 1)):
+            self._add_mask(vals, te)  # neither added edge is listed
+            at = int(vals.argmin())
+            i, k = divmod(at, n + 1)
+        return i * n + k, vals.item(at)
 
 
 class _MoveList(_Moves):
@@ -402,14 +420,15 @@ class _MoveList(_Moves):
         out = t * n
         out += succ  # flat index of the edge leaving each position
         deltas = []
-        for c, fixed in zip(self.flat_costs, self.fixed):
+        for c, fixed, offset in zip(self.flat_costs, self.fixed, (value,) if self.plain else point):
             removed = c[out]
             d = c[new]
             d += fixed
             d -= removed[i]
             d -= removed[k]
+            d += offset
             deltas.append(d)
-        vals = self._scalarize(deltas, point, value)
+        vals = deltas[0] if self.plain else self.scalarizer.value_columns(*deltas)
         vals += self.bias[flat]
         return flat, vals
 
@@ -428,10 +447,13 @@ def _moves(instance: TspInstance, scalarizer: Scalarizer, candidates: CandidateL
 
     Without lists, the dense scan.  With lists of P directed pairs, 2P
     listed moves: the masked dense scan, n*(n+1) entries per step, when 2P
-    exceeds n²/2; else the move list.  Per step under the plain linear
-    scalarizer (2 cores, numpy 2.4), the masked scan costs 0.74-0.97 of the
-    list at 2P = n²/2 for n = 20..100, and at 2P = 3n²/8 it wins up to
-    n = 50 and loses from n = 70.
+    exceeds n²/2; else the move list.  The masked scan gathers its mask only
+    at steps whose unmasked winner is unlisted, so its cost per step
+    depends on that winner.  Per step under the plain linear scalarizer at
+    2P = n²/2 (n = 20..100, 2 and 3 objectives, 2 cores, numpy 2.4), it
+    costs 0.50-0.66 of the list when the winner is listed, as at nearly
+    every step of a search from a DPX offspring, and 0.71-1.01 when it is
+    not.
     """
     if candidates is None:
         return _DenseMoves(instance, scalarizer)
@@ -460,12 +482,15 @@ def two_opt_local_search(
     from the lists' directed pairs, 2 per pair; lists with no pairs make
     every tour a local optimum.  Lists that give many moves (see `_moves`
     for the switch, which nothing else sets) take the dense scan masked by
-    the lists.  Every path gives every move the same float value, from the
-    same elementwise operations in the same order, and picks the same move:
-    the minimum, ties to the lowest position pair (i, k) in row-major
-    order.  So a search with lists follows, bit for bit, the trajectory of
-    the dense scan masked by the lists.  The exact integer objective point
-    is updated by the chosen move's integer deltas and returned with the tour.
+    the lists; a step masks only when the unmasked winner adds no listed
+    edge, since a listed winner is also the masked scan's.  Every path
+    gives every move the same float value, from the same elementwise
+    operations in the same order, and picks the same move: the minimum,
+    ties to the lowest position pair (i, k) in row-major order.  So a
+    search with lists follows, bit for bit, the trajectory of the dense
+    scan masked by the lists.  The exact integer objective point is updated
+    by the chosen move's integer deltas, read as Python ints through
+    memoryviews of the cost matrices, and returned with the tour.
     """
     t = _check_tour(instance, tour)
     n = instance.n
@@ -481,15 +506,18 @@ def two_opt_local_search(
     if value_trace is not None:
         value_trace.append(value)
     moves = _moves(instance, scalarizer, candidates)
+    # zero-copy views of the tour and the flat int64 matrices: indexing one
+    # gives a Python int, and the views see every reversal of the tour
+    cities, flat_costs = memoryview(te), [memoryview(c.reshape(-1)) for c in instance.costs]
     while True:
         flat, best = moves.best(te, point, value)
         if not best < value - IMPROVEMENT_EPS:
             break
         i, k = divmod(flat, n)
-        a, b, c, d = te.item(i), te.item(i + 1), te.item(k), te.item(k + 1)
+        a, b, c, d = cities[i], cities[i + 1], cities[k], cities[k + 1]
         t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]  # t[0] never moves, so te[n] stays equal to it
         ac, bd, ab, cd = a * n + c, b * n + d, a * n + b, c * n + d
-        point = [z + m.item(ac) + m.item(bd) - m.item(ab) - m.item(cd) for z, m in zip(point, instance.costs)]
+        point = [z + m[ac] + m[bd] - m[ab] - m[cd] for z, m in zip(point, flat_costs)]
         value = scalarizer(point)
         if value_trace is not None:
             value_trace.append(value)

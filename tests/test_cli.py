@@ -235,6 +235,9 @@ def test_eval_rejects_unscorable_archives(tmp_path, capsys):
     for argv, message in (
         (["--archive", str(four)], "2 or all have 3 objectives, got [4]"),
         (["--archive", str(four), "--r-weights", "4"], "2 or all have 3 objectives, got [4]"),
+        # failed with "granularity must be >= 1"
+        (["--archive", str(two), "--r-weights", "1"],
+         "R weight count 1 is too small: the smallest simplex lattice for 2 objectives has 2 weights"),
         (["--archive", str(two), str(four), "--ref-mode", "explicit",
           "--z-ref", "0", "0", "--hv-ref", "9", "9"], "got [2, 4]"),
         (["--archive", str(empty)], "empty.csv: archive file holds no points"),

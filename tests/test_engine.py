@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -95,6 +96,31 @@ def test_config_rejects_nan_expected_rank_and_negative_seed():
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         momsls_config(seed=-1)
     assert momsls_config(seed=0).seed == 0
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("objectives", 2.0),
+        ("generations", 1.5),
+        ("weight_count", 6.0),
+        ("neighborhood_size", 2.5),
+        ("max_replacements", 1.5),
+        ("seed", 1.5),
+        ("main_iterations", 2.5),
+        ("generations", "1"),
+    ],
+)
+def test_config_rejects_counts_and_seeds_that_are_no_integer(field, value):
+    # each was accepted; the run then failed deep inside with "'float' object
+    # cannot be interpreted as an integer" or in numpy's SeedSequence, and a
+    # fractional main_iterations made total_iterations() fractional
+    config = dict(method="moead", objectives=2, generations=1, weight_count=6, neighborhood_size=3)
+    config[field] = value
+    with pytest.raises(ValueError, match=re.escape(f"{field} must be an integer, got {value!r}")):
+        MethodConfig(**config)
+    config[field] = np.int64(int(float(value)))  # numpy integers pass
+    MethodConfig(**config)
 
 
 def test_config_rejects_moead_neighborhood_beyond_weights():

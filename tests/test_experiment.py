@@ -103,6 +103,14 @@ def test_plan_validation(tsp_paths, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field, value", [("replications", 1.5), ("workers", 1.5), ("seed_base", 1.5), ("generations", 1.5)]
+)
+def test_plan_rejects_counts_and_seeds_that_are_no_integer(tsp_paths, tmp_path, field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+        small_plan(tsp_paths, tmp_path / "o", **{field: value})
+
+
+@pytest.mark.parametrize(
     "problem, files, message",
     [
         ("tspwp", [("euclidean", dict(n=8, objectives=1))],

@@ -182,6 +182,12 @@ def test_r_weight_set_counts():
         r_weight_set(4)
     with pytest.raises(ValueError, match="not a simplex-lattice count"):
         r_weight_set(2, 0)
+    # count 1 is the lattice of granularity 0, which failed with "granularity must be >= 1"
+    for n_obj in (2, 3):
+        message = f"R weight count 1 is too small: the smallest simplex lattice for {n_obj} objectives has {n_obj} weights"
+        with pytest.raises(ValueError, match=message):
+            r_weight_set(n_obj, 1)
+        assert r_weight_set(n_obj, n_obj).shape == (n_obj, n_obj)
 
 
 def test_r_measure_hand_examples():

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -460,6 +461,24 @@ def test_stacked_weights_must_agree_on_dimension():
         Scalarizer([WeightVector((0.5, 0.5)), WeightVector((0.2, 0.3, 0.5))], ScalarizerSpec("linear"))
     with pytest.raises(ValueError, match="reference point and weights disagree on dimension"):
         Scalarizer([WeightVector((0.5, 0.5))] * 2, ScalarizerSpec("chebycheff"), (0.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize(
+    "weights, shape",
+    [
+        (np.array([[0.5, 0.5], [0.2, 0.8]]), "(2,)"),
+        ([[0.5, 0.5]], "(2,)"),
+        ((0.5, np.array([0.5])), "(1,)"),
+    ],
+    ids=["array-2d", "nested-list", "nested-entry"],
+)
+def test_scalarizer_rejects_nested_weights_by_the_accepted_forms(weights, shape):
+    # these failed inside float(): "only 0-dimensional arrays can be converted
+    # to Python scalars" or "float() argument must be ... not 'list'"
+    accepted = "one weight vector (a WeightVector or a flat sequence of numbers) or a sequence of WeightVectors"
+    with pytest.raises(ValueError, match=re.escape(f"weights must be {accepted}; got an entry of shape {shape}")):
+        Scalarizer(weights, ScalarizerSpec("linear"))
+    assert Scalarizer(np.array([0.5, 0.5]), ScalarizerSpec("linear"))((2.0, 4.0)) == 3.0
 
 
 def test_value_columns_bit_match_value_of_the_stacked_array():

@@ -391,6 +391,20 @@ def record_paths(monkeypatch):
     return taken
 
 
+def record_fallbacks(monkeypatch):
+    """The scalarizer kind of each masked step whose unmasked winner is
+    unlisted, so that `best` gathers and adds the candidate mask."""
+    kinds = []
+    add_mask = _DenseMoves._add_mask
+
+    def recording(self, vals, te):
+        kinds.append(self.scalarizer.spec.kind)
+        return add_mask(self, vals, te)
+
+    monkeypatch.setattr(_DenseMoves, "_add_mask", recording)
+    return kinds
+
+
 def directed_lists(n, count, rng):
     """Lists of exactly `count` directed pairs (a, c), a != c, drawn at random."""
     off_diagonal = np.flatnonzero(~np.eye(n, dtype=bool))
@@ -401,6 +415,7 @@ def directed_lists(n, count, rng):
 
 def test_two_opt_matches_frozen_dense_oracle(monkeypatch):
     taken = record_paths(monkeypatch)
+    fallbacks = record_fallbacks(monkeypatch)
     rng = np.random.default_rng(2002)
     kinds = ("linear", "chebycheff", "mixed")
     list_kinds = ("none", "tours", "asymmetric")
@@ -469,6 +484,10 @@ def test_two_opt_matches_frozen_dense_oracle(monkeypatch):
     for path in ("dense", "masked", "list"):
         for kind in kinds:
             assert counts[path, kind] >= 20, counts
+    # the masked steps whose unmasked winner no list holds, under every kind
+    fallback_counts = Counter(fallbacks)
+    for kind in kinds:
+        assert fallback_counts[kind] >= 20, fallback_counts
 
 
 def test_exchange_deltas_keep_summation_order():
@@ -609,9 +628,17 @@ def test_move_lists_share_the_read_only_index_arrays_of_their_lists():
     grid = padded.reshape(30, 31)
     assert np.isinf(grid[:, 30]).all()  # the pad column
     assert np.array_equal(grid[:, :30], _invalid_bias(30))
+    # the mask buffers wait for the first step that masks
+    assert first.mask is None and first.mask_order is None
+    t = random_tour(inst, rng)
+    te = np.append(t, t[0])
+    point = [int(c[t, te[1:]].sum()) for c in inst.costs]
+    for moves in (first, second):
+        moves.values(te, point, 0.0)
     for name in ("removed", "mask"):
         assert not np.shares_memory(getattr(first, name), getattr(second, name)), name
     assert not np.shares_memory(first.order.flat, second.order.flat)
+    assert not np.shares_memory(first.mask_order.flat, second.mask_order.flat)
 
 
 def test_dpx_identical_parents_returns_copy():
