@@ -200,12 +200,25 @@ def _eval(args) -> int:
     return 0
 
 
-def _compare(args) -> int:
-    records = []
-    for path in args.results:
-        records.extend(read_results_csv(path))
+def _read_results(paths) -> list:
+    """The records of every results file; a run (instance, method, seed) may
+    appear once only, since a repeat would count twice in a table and
+    replace its twin in a comparison."""
+    records, seen = [], set()
+    for path in paths:
+        for record in read_results_csv(path):
+            key = (record.instance, record.method, record.seed)
+            if key in seen:
+                raise ValueError(f"{path} repeats the run of instance {key[0]}, method {key[1]}, seed {key[2]}")
+            seen.add(key)
+            records.append(record)
     if not records:
         raise ValueError("no result records found")
+    return records
+
+
+def _compare(args) -> int:
+    records = _read_results(args.results)
     report = pairwise_wilcoxon_report(records, alpha=args.alpha)
     if not report:
         raise ValueError("need at least two methods on one instance to compare")
@@ -214,12 +227,7 @@ def _compare(args) -> int:
 
 
 def _table(args) -> int:
-    records = []
-    for path in args.results:
-        records.extend(read_results_csv(path))
-    if not records:
-        raise ValueError("no result records found")
-    text, rows = format_table(records)
+    text, rows = format_table(_read_results(args.results))
     print(text, end="")
     if args.out:
         out = Path(args.out)

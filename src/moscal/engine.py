@@ -14,14 +14,21 @@ Pareto archive with the returned pair.  The methods differ only in two rules:
 
 After iteration K-1 the adapter's `end_initial_phase` sees the K initial
 local optima.
+
+The initial phase depends only on the seed and the weight rule: parent
+selection starts after it, and its weights, starts and reference point come
+from the seed's streams and its own searches.  So mogls repeats momsls's K
+initial searches bit for bit, and moead umogls's; a shared `SearchMemo`
+lets the second run reuse them (see `experiment`).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -42,6 +49,7 @@ __all__ = [
     "MoeadState",
     "RunResult",
     "ProblemAdapter",
+    "SearchMemo",
     "tournament_size",
     "get_parents_tournament",
     "get_parents_neighborhood",
@@ -121,12 +129,46 @@ def integer_ids(seq: Sequence[int], what: str, noun: str) -> np.ndarray:
     return t
 
 
+class SearchMemo:
+    """The local searches of one initial phase on one instance, kept for the
+    runs that repeat it.
+
+    A search's key is its checked start and all it reads of the scalarizer:
+    the spec, the bits of the weights and those of the reference (None for
+    linear); one with a transform is never memoized.  A hit returns a copy
+    of the stored solution and the stored point, and appends the stored
+    value trace, as the search itself would.
+    """
+
+    def __init__(self) -> None:
+        self._searches: dict[tuple, tuple[Any, ObjectivePoint, list[float]]] = {}
+
+    def search(self, start: Hashable, scalarizer: Scalarizer, value_trace: list | None, run: Callable) -> ArchiveEntry:
+        """`run(trace)`, the search from `start`, or what it returned before."""
+        if scalarizer.transform is not None:
+            return run(value_trace)
+        ref = scalarizer.reference
+        key = (start, scalarizer.spec, scalarizer.weights.tobytes(), None if ref is None else ref.tobytes())
+        if key not in self._searches:
+            trace: list[float] = []
+            self._searches[key] = (*run(trace), trace)
+        solution, point, trace = self._searches[key]
+        if value_trace is not None:
+            value_trace.extend(trace)
+        return copy.copy(solution), point
+
+
 class ProblemAdapter:
     """Per-run adapter a problem exposes to the engine.
 
     One instance per run: it may hold run-local state (candidate lists,
     objective ranges) while the underlying problem instance stays immutable
     and shared.  Objective points follow the minimization convention.
+
+    Runs of one seed and one weight rule make the same K initial searches
+    (see the module docstring).  An adapter may take a `SearchMemo` that
+    they share, and hand it to the searches that read no run-local state:
+    mstsp and moscp use it until `end_initial_phase`.
     """
 
     n_objectives: int

@@ -6,14 +6,21 @@ pair with seed = seed_base + replication, scores all archives against shared
 union-based reference points, and writes deterministic CSV results alongside
 a plain-text comparison report with pairwise signed-rank decisions.
 
+Each job runs one seed's methods of one weight rule, random (momsls, mogls)
+or uniform (umogls, moead), in plan order on one loaded instance.  Their
+initial phases are the same K searches (see `engine`), so two methods share
+one `SearchMemo` for the job's lifetime; each archive stays as it is alone.
+
 Wallclock times go to a separate timings file so the results file is
-byte-identical across reruns of the same plan; runs that raised are listed
-in a failures file (header only when every run succeeded).
+byte-identical across reruns of the same plan; a job's second run takes no
+time for the K searches it reuses.  Runs that raised are listed in a
+failures file (header only when every run succeeded).
 """
 
 from __future__ import annotations
 
 import csv
+import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
@@ -25,7 +32,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from .archive import write_points_csv
-from .engine import METHODS, MethodConfig, ProblemAdapter, check_integer, run_method
+from .engine import _UNIFORM_METHODS, METHODS, MethodConfig, ProblemAdapter, SearchMemo, check_integer, run_method
 from .indicators import (
     hypervolume,
     r_measure,
@@ -64,6 +71,7 @@ class Problem:
     file_count: int | None  # exact number of instance files; None: one per objective
     needs: str  # the files the problem needs, as its error message and the CLI help say
     adapter: type[ProblemAdapter]
+    takes_memo: bool = True  # whether the adapter takes a SearchMemo as its second argument
 
     def load(self, paths: Sequence):
         if not paths or (self.file_count is not None and len(paths) != self.file_count):
@@ -79,7 +87,7 @@ PROBLEMS = {
     "mstsp": Problem(lambda *paths: load_tsp_instance(paths), None,
                      "mstsp needs one coordinate file per objective", TspAdapter),
     "tspwp": Problem(load_tspwp_instance, 2,
-                     "tspwp needs exactly two files: coordinates then profits", TspwpAdapter),
+                     "tspwp needs exactly two files: coordinates then profits", TspwpAdapter, takes_memo=False),
     "moscp": Problem(parse_scp, 1, "moscp needs exactly one covering file", ScpAdapter),
 }
 
@@ -176,6 +184,8 @@ class ExperimentPlan:
             raise ValueError("replications must be >= 1")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        if any(sep and sep in self.instance_name for sep in (os.sep, os.altsep)):
+            raise ValueError(f"instance_name {self.instance_name!r} holds a path separator; it names archive files")
         object.__setattr__(self, "instance_paths", tuple(str(p) for p in self.instance_paths))
         instance = self.load_instance()
         if not self.instance_name:
@@ -195,8 +205,9 @@ class ExperimentPlan:
     def load_instance(self):
         return PROBLEMS[self.problem].load(self.instance_paths)
 
-    def make_adapter(self, instance) -> ProblemAdapter:
-        return PROBLEMS[self.problem].adapter(instance)
+    def make_adapter(self, instance, memo: SearchMemo | None = None) -> ProblemAdapter:
+        adapter = PROBLEMS[self.problem].adapter
+        return adapter(instance) if memo is None else adapter(instance, memo)
 
     def config_for(self, method: str, seed: int) -> MethodConfig:
         shared = {name: getattr(self, name) for name in _CONFIG_FIELDS}
@@ -216,13 +227,25 @@ class ExperimentOutcome:
     archive_dir: Path
 
 
-def _execute_job(args):
-    plan, method, seed = args
+def _failure(plan: ExperimentPlan, method: str, seed: int, exc: Exception) -> RunFailure:
+    return RunFailure(method, plan.instance_name, seed, f"{type(exc).__name__}: {exc}")
+
+
+def _execute_job(plan: ExperimentPlan, methods: tuple[str, ...], seed: int) -> list:
+    """Run `methods` for `seed` on one loaded instance, in order; per run its
+    raw result, or its `RunFailure` when it raised."""
     instance = plan.load_instance()
-    adapter = plan.make_adapter(instance)
-    result = run_method(plan.config_for(method, seed=seed), adapter)
-    elapsed_ms = int(round(1000 * result.wallclock_s))
-    return method, seed, result.iteration_count, result.archive.points(), elapsed_ms
+    memo = SearchMemo() if len(methods) > 1 and PROBLEMS[plan.problem].takes_memo else None
+    runs = []
+    for method in methods:
+        try:
+            result = run_method(plan.config_for(method, seed=seed), plan.make_adapter(instance, memo))
+        except Exception as exc:  # noqa: BLE001 - individual runs may fail
+            runs.append(_failure(plan, method, seed, exc))
+            continue
+        elapsed_ms = int(round(1000 * result.wallclock_s))
+        runs.append((method, seed, result.iteration_count, result.archive.points(), elapsed_ms))
+    return runs
 
 
 def _significant_digits(value: float) -> str:
@@ -241,28 +264,27 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
     archive_dir = out_dir / "archives"
     archive_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = [
-        (plan, method, plan.seed_base + rep)
-        for method in plan.methods
-        for rep in range(plan.replications)
-    ]
+    # per seed, the plan's methods of each weight rule, random then uniform
+    rules = [tuple(m for m in plan.methods if (m in _UNIFORM_METHODS) == uniform) for uniform in (False, True)]
+    jobs = [(rule, plan.seed_base + rep) for rep in range(plan.replications) for rule in rules if rule]
     failures: list[RunFailure] = []
     raw = []
-    # A run that raises, here or in a pool worker, is caught here in the parent.
+    # A job that raises, here or in a pool worker, fails each of its runs.
     parallel = plan.workers > 1
     with ProcessPoolExecutor(max_workers=plan.workers) if parallel else nullcontext() as pool:
         results = [
-            pool.submit(_execute_job, job).result if parallel else partial(_execute_job, job)
+            pool.submit(_execute_job, plan, *job).result if parallel else partial(_execute_job, plan, *job)
             for job in jobs
         ]
-        for (_, method, seed), result in zip(jobs, results):
+        for (methods, seed), result in zip(jobs, results):
             try:
-                raw.append(result())
+                runs = result()
             except Exception as exc:  # noqa: BLE001 - individual runs may fail
-                failures.append(
-                    RunFailure(method, plan.instance_name, seed, f"{type(exc).__name__}: {exc}")
-                )
+                runs = [_failure(plan, method, seed, exc) for method in methods]
+            for run in runs:
+                (failures if isinstance(run, RunFailure) else raw).append(run)
     raw.sort(key=lambda item: (item[0], item[1]))
+    failures.sort(key=lambda f: (plan.methods.index(f.method), f.seed))
 
     records: list[ResultRecord] = []
     report_lines: list[str] = []

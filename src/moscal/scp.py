@@ -27,12 +27,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable
+from functools import cached_property, partial
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array, integer_ids
+from .engine import (
+    IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, SearchMemo, check_exact_integers, integer_array, integer_ids
+)
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -236,6 +238,7 @@ def scp_local_search(
     solution: Iterable[int],
     scalarizer: Scalarizer,
     value_trace: list[float] | None = None,
+    memo: SearchMemo | None = None,
 ) -> tuple[CoverSolution, ObjectivePoint]:
     """Steepest-descent removal-and-repair search from a feasible cover.
 
@@ -284,9 +287,18 @@ def scp_local_search(
     stops once it reaches the bound (see `_repair`).  The walk rejects
     exactly these neighbors, so every decision is the same as with all
     neighbors repaired in full.
+
+    A `memo` keys the search by the start cover and the scalarizer.
     """
-    coverage, costs, column_costs = instance.coverage, instance.costs, instance._column_costs
     current = frozenset(_as_columns(instance, solution).tolist())
+    if memo is not None:
+        return memo.search(current, scalarizer, value_trace, partial(_scp_search, instance, current, scalarizer))
+    return _scp_search(instance, current, scalarizer, value_trace)
+
+
+def _scp_search(instance: ScpInstance, current: CoverSolution, scalarizer: Scalarizer, value_trace) -> ArchiveEntry:
+    """`scp_local_search` from the checked start `current`."""
+    coverage, costs, column_costs = instance.coverage, instance.costs, instance._column_costs
     value = None
     allowed = np.ones(instance.n_columns, dtype=bool)
     while True:
@@ -401,11 +413,13 @@ def _cover_remaining(
 
 
 class ScpAdapter(ProblemAdapter):
-    """Engine adapter for a set covering instance."""
+    """Engine adapter for a set covering instance; a `memo` serves the
+    initial phase's searches."""
 
-    def __init__(self, instance: ScpInstance) -> None:
+    def __init__(self, instance: ScpInstance, memo: SearchMemo | None = None) -> None:
         self.instance = instance
         self.n_objectives = instance.n_objectives
+        self.memo = memo
 
     def random_solution(self, rng: np.random.Generator) -> CoverSolution:
         return random_cover(self.instance, rng)
@@ -414,9 +428,12 @@ class ScpAdapter(ProblemAdapter):
         return scp_evaluate(self.instance, solution)
 
     def local_search(self, solution: CoverSolution, scalarizer: Scalarizer) -> ArchiveEntry:
-        return scp_local_search(self.instance, solution, scalarizer)
+        return scp_local_search(self.instance, solution, scalarizer, memo=self.memo)
 
     def recombine(
         self, parent_a: CoverSolution, parent_b: CoverSolution, rng: np.random.Generator
     ) -> CoverSolution:
         return scp_recombine(parent_a, parent_b, rng, self.instance)
+
+    def end_initial_phase(self, solutions: Sequence[CoverSolution]) -> None:
+        self.memo = None

@@ -8,13 +8,15 @@ objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 from typing import Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array, integer_ids
+from .engine import (
+    IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, SearchMemo, check_exact_integers, integer_array, integer_ids
+)
 from .scalarizing import ObjectivePoint, Scalarizer
 
 __all__ = [
@@ -469,6 +471,7 @@ def two_opt_local_search(
     scalarizer: Scalarizer,
     candidates: CandidateLists | None = None,
     value_trace: list[float] | None = None,
+    memo: SearchMemo | None = None,
 ) -> tuple[np.ndarray, ObjectivePoint]:
     """Steepest-descent 2-opt under a fixed scalarizing function.
 
@@ -491,8 +494,18 @@ def two_opt_local_search(
     scan masked by the lists.  The exact integer objective point is updated
     by the chosen move's integer deltas, read as Python ints through
     memoryviews of the cost matrices, and returned with the tour.
+
+    A `memo` (see `SearchMemo`) keys the search by the tour and the
+    scalarizer, not by the lists, so only searches without lists take one.
     """
     t = _check_tour(instance, tour)
+    if memo is not None:
+        return memo.search(t.tobytes(), scalarizer, value_trace, partial(_two_opt, instance, t, scalarizer, candidates))
+    return _two_opt(instance, t, scalarizer, candidates, value_trace)
+
+
+def _two_opt(instance: TspInstance, t: np.ndarray, scalarizer: Scalarizer, candidates, value_trace) -> ArchiveEntry:
+    """`two_opt_local_search` from the checked tour `t`."""
     n = instance.n
     te = np.empty(n + 1, dtype=np.int64)  # closed tour: te[n] == te[0]
     te[:n], te[n] = t, t[0]
@@ -647,12 +660,14 @@ def dpx_recombine(
 
 class TspAdapter(ProblemAdapter):
     """Engine adapter; candidate lists are built after the initial phase and
-    restrict 2-opt for the rest of the run."""
+    restrict 2-opt for the rest of the run.  A `memo` serves the searches
+    without lists only."""
 
-    def __init__(self, instance: TspInstance):
+    def __init__(self, instance: TspInstance, memo: SearchMemo | None = None):
         self.instance = instance
         self.n_objectives = instance.n_objectives
         self.candidates: CandidateLists | None = None
+        self.memo = memo
 
     def random_solution(self, rng: np.random.Generator) -> np.ndarray:
         return random_tour(self.instance, rng)
@@ -661,7 +676,8 @@ class TspAdapter(ProblemAdapter):
         return tsp_evaluate(self.instance, solution)
 
     def local_search(self, solution: np.ndarray, scalarizer: Scalarizer) -> ArchiveEntry:
-        return two_opt_local_search(self.instance, solution, scalarizer, self.candidates)
+        memo = self.memo if self.candidates is None else None
+        return two_opt_local_search(self.instance, solution, scalarizer, self.candidates, memo=memo)
 
     def recombine(self, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return dpx_recombine(parent_a, parent_b, rng)

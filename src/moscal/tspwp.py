@@ -383,7 +383,12 @@ def dpx_wp_recombine(
 
 
 class TspwpAdapter(ProblemAdapter):
-    """Engine adapter; estimates normalization ranges at the start of each run."""
+    """Engine adapter; estimates normalization ranges at the start of each run.
+
+    It takes no `SearchMemo`: its scalarizer carries the run's own ranges as
+    a transform, which a memo never keys, and no workload, script or
+    acceptance test runs two tspwp methods of one weight rule.
+    """
 
     def __init__(self, instance: TspwpInstance):
         self.instance = instance

@@ -316,6 +316,26 @@ def test_compare_and_table(tsp_files, tmp_path, capsys):
     assert len(grid) == 3
 
 
+def test_compare_and_table_reject_a_repeated_run(tsp_files, tmp_path, capsys):
+    plan = ExperimentPlan(
+        problem="mstsp", instance_paths=tuple(tsp_files), output_dir=str(tmp_path / "exp"),
+        generations=1, weight_count=6, methods=("momsls", "mogls"), replications=5,
+    )
+    results = str(run_experiment(plan).results_csv)
+    rows = Path(results).read_text().splitlines()
+    repeated = tmp_path / "repeated.csv"
+    repeated.write_text("\n".join(rows + [rows[3]]) + "\n")
+    capsys.readouterr()
+    # the same file twice used to give n=4 per cell in a table, and compare kept the last copy
+    for command in ("table", "compare"):
+        assert run_cli(command, "--results", results, results) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {results} repeats the run of instance eu_obj1, method mogls, seed 0\n"
+        assert run_cli(command, "--results", str(repeated)) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {repeated} repeats the run of instance eu_obj1, method mogls, seed 2\n"
+
+
 def test_missing_file_errors(tsp_files, tmp_path, capsys):
     assert run_cli("compare", "--results", str(tmp_path / "none.csv")) == 1
     assert "error:" in capsys.readouterr().err

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from moscal.archive import read_points_csv
-from moscal import experiment
-from moscal.engine import METHODS, MethodConfig
+from moscal.archive import read_points_csv, write_points_csv
+from moscal import experiment, scp, tsp
+from moscal.engine import METHODS, MethodConfig, SearchMemo, run_method
 from moscal.experiment import (
     EXPECTED_RANK_PRESETS,
     PRESETS,
@@ -239,13 +239,92 @@ def test_run_experiment_writes_failures_csv(tsp_paths, tmp_path, monkeypatch):
         assert (outcome.archive_dir / name).read_bytes() == (clean.archive_dir / name).read_bytes()
 
 
-def test_run_experiment_parallel_matches_sequential(tsp_paths, tmp_path):
-    seq = run_experiment(small_plan(tsp_paths, tmp_path / "seq"))
-    par = run_experiment(small_plan(tsp_paths, tmp_path / "par", workers=2))
+def test_run_experiment_parallel_matches_sequential(tsp_paths, tmp_path, monkeypatch):
+    real_run_method = experiment.run_method
+
+    def flaky_run_method(config, adapter):
+        result = real_run_method(config, adapter)
+        if (config.method, config.seed) == ("umogls", 101):  # after filling the pair's memo
+            raise RuntimeError("injected")
+        return result
+
+    monkeypatch.setattr(experiment, "run_method", flaky_run_method)
+    seq = run_experiment(small_plan(tsp_paths, tmp_path / "seq", methods=METHODS))
+    par = run_experiment(small_plan(tsp_paths, tmp_path / "par", methods=METHODS, workers=2))
+    for outcome in (seq, par):
+        assert [(f.method, f.seed, f.error) for f in outcome.failures] == [("umogls", 101, "RuntimeError: injected")]
+        assert len(outcome.records) == 4 * 3 - 1
     assert [(r.method, r.seed, r.R, r.HV) for r in seq.records] == [
         (r.method, r.seed, r.R, r.HV) for r in par.records
     ]
     assert seq.results_csv.read_bytes() == par.results_csv.read_bytes()
+    names = sorted(p.name for p in seq.archive_dir.iterdir())
+    assert names == sorted(p.name for p in par.archive_dir.iterdir()) and len(names) == 11
+    for name in names:
+        assert (seq.archive_dir / name).read_bytes() == (par.archive_dir / name).read_bytes()
+
+
+@pytest.fixture
+def scp_paths(tmp_path):
+    return [str(p) for p in generate_instance("scp", tmp_path / "cover", seed=4, rows=12, cols=30)]
+
+
+@pytest.mark.parametrize("problem", ["mstsp", "moscp"])
+def test_run_experiment_archives_equal_solo_runs_without_a_memo(tsp_paths, scp_paths, tmp_path, problem):
+    paths = tsp_paths if problem == "mstsp" else scp_paths
+    plan = small_plan(paths, tmp_path / "out", problem=problem, methods=METHODS, replications=2)
+    outcome = run_experiment(plan)
+    assert not outcome.failures and len(outcome.records) == 8
+    instance = plan.load_instance()
+    for method in METHODS:
+        for seed in (100, 101):
+            solo = run_method(plan.config_for(method, seed=seed), plan.make_adapter(instance))
+            write_points_csv(solo.archive, tmp_path / "solo.csv")
+            name = f"{method}_{plan.instance_name}_{seed}.csv"
+            assert (outcome.archive_dir / name).read_bytes() == (tmp_path / "solo.csv").read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "problem, methods, memos",
+    [
+        ("mstsp", METHODS, 2),
+        ("mstsp", ("moead", "momsls", "umogls"), 1),  # momsls alone in its rule
+        ("mstsp", ("mogls", "moead"), 0),
+        ("moscp", ("umogls", "moead"), 1),
+    ],
+)
+def test_each_shared_pair_computes_its_initial_searches_once(
+    tsp_paths, scp_paths, tmp_path, monkeypatch, problem, methods, memos
+):
+    computed = []
+    for module, name in ((tsp, "_two_opt"), (scp, "_scp_search")):
+        def counting(*args, _run=getattr(module, name), **kwargs):
+            computed.append(1)
+            return _run(*args, **kwargs)
+        monkeypatch.setattr(module, name, counting)
+    made = []
+
+    class CountedMemo(SearchMemo):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(experiment, "SearchMemo", CountedMemo)
+    paths = tsp_paths if problem == "mstsp" else scp_paths
+    plan = small_plan(paths, tmp_path / "out", problem=problem, methods=methods)
+    outcome = run_experiment(plan)
+    assert not outcome.failures
+    k, reps, total = 6, 3, 6 * 2
+    # K fewer searches for each seed and each shared pair, and no memo for a lone method
+    assert len(made) == memos * reps
+    assert len(computed) == len(methods) * reps * total - memos * reps * k
+    assert all(len(memo._searches) == k for memo in made)
+
+
+def test_plan_rejects_an_instance_name_with_a_path_separator(tsp_paths, tmp_path):
+    # it used to run every run, then fail writing archives/mogls_lab/toy_100.csv
+    with pytest.raises(ValueError, match="instance_name 'lab/toy' holds a path separator"):
+        small_plan(tsp_paths, tmp_path / "o", instance_name="lab/toy")
 
 
 def test_results_csv_round_trip(tsp_paths, tmp_path):
