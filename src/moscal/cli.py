@@ -15,7 +15,6 @@ otherwise.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from dataclasses import asdict
@@ -27,11 +26,12 @@ from .experiment import (
     EXPECTED_RANK_PRESETS,
     PRESETS,
     PROBLEMS,
+    _write_csv,
     format_table,
     pairwise_wilcoxon_report,
     read_results_csv,
 )
-from .indicators import hypervolume, r_measure, r_weight_set, union_reference_points
+from .indicators import SCORED_OBJECTIVES, hypervolume, r_measure, r_weight_set, union_reference_points
 from .instances import GENERATOR_PARAMS, generate_instance
 from .scalarizing import ScalarizerSpec
 
@@ -178,7 +178,7 @@ def _run(args) -> int:
 def _eval(args) -> int:
     point_sets = [read_points_csv(p) for p in args.archive]
     widths = {len(points[0]) for points in point_sets}
-    if len(widths) != 1 or not widths <= {2, 3}:
+    if len(widths) != 1 or not widths <= SCORED_OBJECTIVES:
         raise ValueError(f"eval scores archives that all have 2 or all have 3 objectives, got {sorted(widths)}")
     (n_objectives,) = widths
     if args.ref_mode == "explicit":
@@ -230,10 +230,7 @@ def _table(args) -> int:
     text, rows = format_table(_read_results(args.results))
     print(text, end="")
     if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        with out.open("w", newline="") as fh:
-            csv.writer(fh, lineterminator="\n").writerows(rows)
+        _write_csv(Path(args.out), rows)
     return 0
 
 

@@ -113,20 +113,24 @@ def integer_array(values: Any, what: str) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def integer_ids(seq: Sequence[int], what: str, noun: str) -> np.ndarray:
-    """A 1-D int or float array of integer ids; a ValueError names the first
-    id that is not a finite integer.  Int arrays take no per-element pass."""
+def integer_ids(seq: Sequence[int], what: str, noun: str, n: int) -> np.ndarray:
+    """A 1-D int64 array of `noun` ids 0..n-1; a ValueError names the first
+    id that is not a finite integer in 0..n-1.  Int arrays take no
+    per-element pass."""
     t = np.asarray(seq)
     if t.ndim != 1:
         raise ValueError(f"{what} must be a flat sequence of {noun} ids")
-    if t.dtype.kind in "iu":
-        return t
-    if t.dtype.kind != "f":
-        raise ValueError(f"{what} must hold integer {noun} ids, not {t.dtype}")
-    fractional = np.flatnonzero((t != np.floor(t)) | np.isinf(t))
-    if fractional.size:
-        raise ValueError(f"{what} holds id {t[fractional[0]]}, which is not an integer {noun} id")
-    return t
+    if t.dtype.kind not in "iu":
+        if t.dtype.kind != "f":
+            raise ValueError(f"{what} must hold integer {noun} ids, not {t.dtype}")
+        fractional = np.flatnonzero((t != np.floor(t)) | np.isinf(t))
+        if fractional.size:
+            raise ValueError(f"{what} holds id {t[fractional[0]]}, which is not an integer {noun} id")
+    if t.size and (t.min() < 0 or t.max() >= n):
+        bad = t[(t < 0) | (t >= n)][0]
+        nouns = noun[:-1] + "ies" if noun.endswith("y") else noun + "s"
+        raise ValueError(f"{what} holds id {bad}, outside the {nouns} 0..{n - 1}")
+    return t.astype(np.int64, copy=False)
 
 
 class SearchMemo:
@@ -332,9 +336,8 @@ class MoeadState:
             d2 = (block[:, 0, None] - cols[0]) ** 2
             for j in range(1, cols.shape[0]):
                 d2 += (block[:, j, None] - cols[j]) ** 2
-            for r in range(block.shape[0]):
-                order = np.lexsort((np.arange(k), d2[r]))
-                neigh[start + r] = order[:neighborhood_size]
+            # a stable sort breaks distance ties by index
+            neigh[start : start + chunk] = np.argsort(d2, axis=1, kind="stable")[:, :neighborhood_size]
         return cls(list(weights), neigh, [None] * k)
 
 

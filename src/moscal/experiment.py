@@ -27,13 +27,14 @@ from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from statistics import mean, stdev
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
 from .archive import write_points_csv
 from .engine import _UNIFORM_METHODS, METHODS, MethodConfig, ProblemAdapter, SearchMemo, check_integer, run_method
 from .indicators import (
+    SCORED_OBJECTIVES,
     hypervolume,
     r_measure,
     r_weight_set,
@@ -190,6 +191,8 @@ class ExperimentPlan:
         instance = self.load_instance()
         if not self.instance_name:
             object.__setattr__(self, "instance_name", Path(self.instance_paths[0]).stem)
+        if instance.n_objectives not in SCORED_OBJECTIVES:
+            raise ValueError(f"a study needs 2 or 3 objectives to score R and HV, got {instance.n_objectives}")
         object.__setattr__(self, "_n_objectives", int(instance.n_objectives))
         budgets = {
             self.config_for(m, seed=self.seed_base).total_iterations()
@@ -246,6 +249,14 @@ def _execute_job(plan: ExperimentPlan, methods: tuple[str, ...], seed: int) -> l
         elapsed_ms = int(round(1000 * result.wallclock_s))
         runs.append((method, seed, result.iteration_count, result.archive.points(), elapsed_ms))
     return runs
+
+
+def _write_csv(path: Path, rows: Iterable[Sequence]) -> Path:
+    """Write `rows` as CSV with Unix line ends to `path`, making its directory; return `path`."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with path.open("w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    return path
 
 
 def _significant_digits(value: float) -> str:
@@ -344,39 +355,23 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
             report_lines.append(f"  {f.method} seed {f.seed}: {f.error}")
     report = "\n".join(report_lines) + "\n"
 
-    results_csv = out_dir / "results.csv"
-    with results_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "problem", "instance", "seed", "iterations", "R", "HV"])
-        for r in records:
-            writer.writerow(
-                [
-                    r.method,
-                    r.problem,
-                    r.instance,
-                    r.seed,
-                    r.iteration_count,
-                    _significant_digits(r.R),
-                    _significant_digits(r.HV),
-                ]
-            )
-    timings_csv = out_dir / "timings.csv"
-    with timings_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "instance", "seed", "wallclock_ms"])
-        for r in records:
-            writer.writerow([r.method, r.instance, r.seed, r.wallclock_ms])
-    failures_csv = out_dir / "failures.csv"
-    with failures_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["instance", "method", "seed", "error"])
-        for f in failures:
-            writer.writerow([f.instance, f.method, f.seed, f.error])
-    table_text, table_rows = format_table(records)
-    table_csv = out_dir / "table.csv"
-    with table_csv.open("w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerows(table_rows)
+    results_csv = _write_csv(out_dir / "results.csv", [
+        ["method", "problem", "instance", "seed", "iterations", "R", "HV"],
+        *(
+            [r.method, r.problem, r.instance, r.seed, r.iteration_count,
+             _significant_digits(r.R), _significant_digits(r.HV)]
+            for r in records
+        ),
+    ])
+    timings_csv = _write_csv(out_dir / "timings.csv", [
+        ["method", "instance", "seed", "wallclock_ms"],
+        *([r.method, r.instance, r.seed, r.wallclock_ms] for r in records),
+    ])
+    failures_csv = _write_csv(out_dir / "failures.csv", [
+        ["instance", "method", "seed", "error"],
+        *([f.instance, f.method, f.seed, f.error] for f in failures),
+    ])
+    table_csv = _write_csv(out_dir / "table.csv", format_table(records)[1])
     report_path = out_dir / "report.txt"
     report_path.write_text(report)
     return ExperimentOutcome(

@@ -32,6 +32,7 @@ from .scalarizing import ObjectivePoint, generate_uniform_weights, granularity_f
 
 __all__ = [
     "R_WEIGHT_GRANULARITY",
+    "SCORED_OBJECTIVES",
     "WilcoxonResult",
     "hypervolume",
     "r_measure",
@@ -43,6 +44,9 @@ __all__ = [
 # Granularity of the evaluation weight set per objective count; the resulting
 # counts are 1000 (2 objectives) and 7626 (3 objectives).
 R_WEIGHT_GRANULARITY = {2: 999, 3: 122}
+
+# The objective counts that R and hypervolume score
+SCORED_OBJECTIVES = frozenset(R_WEIGHT_GRANULARITY)
 
 _CHUNK = 256
 
@@ -131,7 +135,7 @@ def hypervolume(points, reference: ObjectivePoint) -> float:
     mat = _as_matrix(points, "points")
     ref = _as_reference(reference)
     n_obj = mat.shape[1]
-    if n_obj not in (2, 3):
+    if n_obj not in SCORED_OBJECTIVES:
         raise ValueError(f"hypervolume supports 2 or 3 objectives, got {n_obj}")
     if ref.shape != (n_obj,):
         raise ValueError("reference dimension mismatch")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import EXACT_INT_LIMIT
+from .engine import EXACT_INT_LIMIT, _is_int64
 from .scp import ScpInstance
 from .tsp import TspInstance
 from .tspwp import TspwpInstance
@@ -51,7 +51,6 @@ DEFAULT_CLUSTERS = 6
 DEFAULT_PROFIT_RANGE = (1, 100)
 GENERATED_OBJECTIVES = 2
 _WRAP = 12  # integers per line in set-covering files
-_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 # Each generator kind's (required, optional) parameters, as `generate_instance`
 # takes them and `moscal gen` spells them as flags
@@ -101,7 +100,7 @@ def _counted_lines(path, count: str, entry: str) -> list[tuple[int, str]]:
 
 def _check_int64(path, lineno: int, value: int) -> int:
     """`value` when numpy's int64 holds it, else a ParseError."""
-    if _INT64_MIN <= value <= _INT64_MAX:
+    if _is_int64(value):
         return value
     raise ParseError(path, lineno, f"integer {value} is outside the 64-bit range")
 

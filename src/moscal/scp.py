@@ -126,11 +126,7 @@ class ScpInstance:
 
 
 def _as_columns(instance: ScpInstance, solution: Iterable[int]) -> np.ndarray:
-    cols = integer_ids(sorted(solution), "solution", "column")
-    if cols.size and (cols[0] < 0 or cols[-1] >= instance.n_columns):
-        bad = cols[0] if cols[0] < 0 else cols[-1]
-        raise ValueError(f"solution holds id {bad}, outside the columns 0..{instance.n_columns - 1}")
-    cols = cols.astype(np.int64, copy=False)
+    cols = integer_ids(sorted(solution), "solution", "column", instance.n_columns)
     if cols.size != len(set(cols.tolist())):
         raise ValueError("duplicate column in solution")
     return cols

@@ -43,19 +43,8 @@ class TspInstance:
         if len(self.costs) < 1:
             raise ValueError("instance needs at least one cost matrix")
         mats = tuple(integer_array(c, f"objective {j + 1}'s cost matrix") for j, c in enumerate(self.costs))
-        n = mats[0].shape[0]
-        if n < 4:
-            raise ValueError("instance needs at least 4 cities")
-        for m in mats:
-            if m.shape != (n, n):
-                raise ValueError("cost matrices disagree on size")
-            if (m < 0).any():
-                raise ValueError("costs must be nonnegative")
-            if (m != m.T).any():
-                raise ValueError("cost matrices must be symmetric")
-            if np.diagonal(m).any():
-                raise ValueError("self-distances must be zero")
-            check_exact_integers(n * int(m.max()), "n x max cost")
+        if len({_check_costs(m) for m in mats}) != 1:
+            raise ValueError("cost matrices disagree on size")
         object.__setattr__(self, "costs", mats)
 
     @property
@@ -67,19 +56,28 @@ class TspInstance:
         return len(self.costs)
 
 
-def _city_ids(seq: Sequence[int], n: int, what: str) -> np.ndarray:
-    """A 1-D int64 array of city ids 0..n-1; a ValueError names the first
-    id that is no city: outside 0..n-1, or not an integer."""
-    t = integer_ids(seq, what, "city")
-    if t.size and (t.min() < 0 or t.max() >= n):
-        bad = t[(t < 0) | (t >= n)][0]
-        raise ValueError(f"{what} holds id {bad}, outside the cities 0..{n - 1}")
-    return t.astype(np.int64, copy=False)
+def _check_costs(m: np.ndarray) -> int:
+    """The city count n of an int64 cost matrix; a ValueError names the first
+    rule it breaks: square, n >= 4, nonnegative, symmetric, zero diagonal,
+    n x max cost below 2**53 (so every tour length is an exact float)."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("cost matrix must be square")
+    n = m.shape[0]
+    if n < 4:
+        raise ValueError("instance needs at least 4 cities")
+    if (m < 0).any():
+        raise ValueError("costs must be nonnegative")
+    if (m != m.T).any():
+        raise ValueError("cost matrix must be symmetric")
+    if np.diagonal(m).any():
+        raise ValueError("self-distances must be zero")
+    check_exact_integers(n * int(m.max()), "n x max cost")
+    return n
 
 
 def _check_tour(instance: TspInstance, tour: Sequence[int]) -> np.ndarray:
     n = instance.n
-    t = _city_ids(tour, n, "tour")
+    t = integer_ids(tour, "tour", "city", n)
     if t.size != n or np.bincount(t, minlength=n).max() != 1:
         raise ValueError("tour must be a permutation of all cities")
     return t
@@ -179,7 +177,7 @@ def build_candidate_lists(tours: Sequence[Sequence[int]]) -> CandidateLists:
     n = len(tours[0])
     if any(len(tour) != n for tour in tours):
         raise ValueError("tours disagree on city count")
-    stacked = _city_ids(np.ravel(tours), n, "tour").reshape(len(tours), n)
+    stacked = integer_ids(np.ravel(tours), "tour", "city", n).reshape(len(tours), n)
     wrong = np.flatnonzero((np.sort(stacked, axis=1) != np.arange(n)).any(axis=1))
     if wrong.size:
         raise ValueError(f"tour {wrong[0]} is not a permutation of the cities 0..{n - 1}")
@@ -636,16 +634,13 @@ def dpx_recombine(
     (falling back to parent edges only if repeated attempts dead-end), which
     leaves the offspring at equal edge distance from both parents.
     """
-    pa, pb = (integer_ids(p, "parent", "city").astype(np.int64, copy=False) for p in (parent_a, parent_b))
+    n = np.size(parent_a)
+    pa, pb = (integer_ids(p, "parent", "city", n) for p in (parent_a, parent_b))
     cities = pa.tolist()
     ordered = sorted(cities)
     if ordered != sorted(pb.tolist()):
         raise ValueError("parents must visit the same cities")
-    if ordered != list(range(len(ordered))):
-        # n distinct ids that are not 0..n-1 hold one outside that range
-        if ordered[0] < 0 or ordered[-1] >= len(ordered):
-            bad = ordered[0] if ordered[0] < 0 else ordered[-1]
-            raise ValueError(f"parent holds city {bad}, outside the cities 0..{len(ordered) - 1}")
+    if ordered != list(range(n)):
         raise ValueError("parents must visit each city once")
     ea, eb = _edge_set(pa), _edge_set(pb)
     common = ea & eb

@@ -15,9 +15,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array
+from .engine import IMPROVEMENT_EPS, ArchiveEntry, ProblemAdapter, check_exact_integers, integer_array, integer_ids
 from .scalarizing import ObjectivePoint, Scalarizer, ScalarizerSpec
-from .tsp import _city_ids, _common_fragments, _edge_set, _exchange_deltas, _invalid_bias, _invalid_pairs
+from .tsp import _check_costs, _common_fragments, _edge_set, _exchange_deltas, _invalid_bias, _invalid_pairs
 
 __all__ = [
     "TspwpInstance",
@@ -49,20 +49,11 @@ class TspwpInstance:
     def __post_init__(self) -> None:
         c = integer_array(self.costs, "cost matrix")
         p = integer_array(self.profits, "profit vector")
-        if c.ndim != 2 or c.shape[0] != c.shape[1]:
-            raise ValueError("cost matrix must be square")
-        n = c.shape[0]
-        if n < 4:
-            raise ValueError("instance needs at least 4 cities")
+        n = _check_costs(c)
         if p.shape != (n,):
             raise ValueError("profit vector length must match the city count")
-        if (c < 0).any() or (p < 0).any():
-            raise ValueError("costs and profits must be nonnegative")
-        if (c != c.T).any():
-            raise ValueError("cost matrix must be symmetric")
-        if np.diagonal(c).any():
-            raise ValueError("self-distances must be zero")
-        check_exact_integers(n * int(c.max()), "n x max cost")
+        if (p < 0).any():
+            raise ValueError("profits must be nonnegative")
         check_exact_integers(sum(p.tolist()), "the total profit")
         object.__setattr__(self, "costs", c)
         object.__setattr__(self, "profits", p)
@@ -124,7 +115,7 @@ class ObjectiveRanges:
 
 
 def _check_subtour(instance: TspwpInstance, subtour: Sequence[int]) -> np.ndarray:
-    t = _city_ids(subtour, instance.n, "sub-tour")
+    t = integer_ids(subtour, "sub-tour", "city", instance.n)
     if t.size == 0:
         raise ValueError("sub-tour must be a nonempty city sequence")
     if np.bincount(t).max() != 1:
@@ -347,7 +338,7 @@ def dpx_wp_recombine(
     set of cities outside comSet.  Common-edge fragments, isolated common
     nodes and the sampled cities are then chained randomly into a cycle.
     """
-    pa, pb = (_city_ids(p, n_cities, "parent") for p in (parent_a, parent_b))
+    pa, pb = (integer_ids(p, "parent", "city", n_cities) for p in (parent_a, parent_b))
     nodes_a, nodes_b = set(pa.tolist()), set(pb.tolist())
     if len(nodes_a) != pa.size or len(nodes_b) != pb.size:
         raise ValueError("parents must visit each city at most once")

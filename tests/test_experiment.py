@@ -12,7 +12,8 @@ from moscal.experiment import (
     read_results_csv,
     run_experiment,
 )
-from moscal.instances import generate_instance
+from moscal.instances import generate_instance, parse_scp, write_scp
+from moscal.scp import ScpInstance
 
 
 @pytest.fixture
@@ -129,6 +130,22 @@ def test_plan_checks_problem_file_count(tmp_path, problem, files, message):
     ]
     with pytest.raises(ValueError, match=f"^{message}$"):
         small_plan(paths, tmp_path / "o", problem=problem)
+
+
+@pytest.mark.parametrize("problem", ["mstsp", "moscp"])
+def test_plan_rejects_an_objective_count_that_r_and_hv_do_not_score(tmp_path, problem):
+    # a 4-objective study used to run every run, then fail on the R weight
+    # set and leave neither results.csv nor failures.csv nor a report
+    if problem == "mstsp":
+        paths = generate_instance("euclidean", tmp_path / "toy", seed=3, n=8, objectives=4)
+    else:
+        (two,) = generate_instance("scp", tmp_path / "cover", seed=4, rows=12, cols=30)
+        cover = parse_scp(two)
+        paths = [write_scp(tmp_path / "cover4.scp", ScpInstance(np.vstack([cover.costs] * 2), cover.coverage))]
+    out = tmp_path / "o"
+    with pytest.raises(ValueError, match="^a study needs 2 or 3 objectives to score R and HV, got 4$"):
+        small_plan([str(p) for p in paths], out, problem=problem)
+    assert not out.exists()
 
 
 def test_plan_rejects_moead_neighborhood_beyond_weights(tsp_paths, tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from collections import Counter
 
 import numpy as np
@@ -63,6 +64,39 @@ def test_instance_validation():
     neg[0, 1] = neg[1, 0] = -1
     with pytest.raises(ValueError):
         TspInstance((neg,))
+    five = np.ones((5, 5), dtype=np.int64) - np.eye(5, dtype=np.int64)
+    with pytest.raises(ValueError, match="^cost matrices disagree on size$"):
+        TspInstance((good, five))
+
+
+def _with_entries(entries):
+    """A valid 4-city cost matrix with the given {(i, j): value} entries."""
+    costs = np.array([[0, 1, 2, 3], [1, 0, 4, 5], [2, 4, 0, 6], [3, 5, 6, 0]])
+    for at, value in entries.items():
+        costs[at] = value
+    return costs
+
+
+@pytest.mark.parametrize(
+    "costs, message",
+    [
+        (np.zeros((4, 5), dtype=np.int64), "cost matrix must be square"),
+        (_with_entries({})[:3, :3], "instance needs at least 4 cities"),
+        (_with_entries({(0, 1): -1, (1, 0): -1}), "costs must be nonnegative"),
+        (_with_entries({(0, 1): 9}), "cost matrix must be symmetric"),
+        (_with_entries({(2, 2): 1}), "self-distances must be zero"),
+        (np.full((4, 4), 2**51) - np.diag(np.full(4, 2**51)),
+         "n x max cost is 9007199254740992, at or above 2**53, where float objectives skip integers"),
+    ],
+    ids=["not_square", "three_cities", "negative", "asymmetric", "nonzero_diagonal", "n_max_cost_2_pow_53"],
+)
+def test_both_instance_types_apply_one_cost_matrix_rule(costs, message):
+    # each matrix breaks one rule only, so without that rule neither type
+    # raises this message
+    profits = np.ones(len(costs), dtype=np.int64)
+    for make in (lambda: TspInstance((costs,)), lambda: tspwp.TspwpInstance(costs, profits)):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make()
 
 
 @pytest.mark.parametrize(
@@ -687,7 +721,7 @@ def test_dpx_rejects_mismatched_city_sets():
             dpx_recombine(np.array(pa), np.array(pb), rng)
     # ids outside 0..n-1 used to reach the offspring: [2 1 9 0]
     for pa, pb, bad in (([0, 1, 2, 9], [9, 0, 2, 1], 9), ([-1, 0, 1, 2], [2, 1, 0, -1], -1)):
-        with pytest.raises(ValueError, match=f"^parent holds city {bad}, outside the cities 0..3$"):
+        with pytest.raises(ValueError, match=f"^parent holds id {bad}, outside the cities 0..3$"):
             dpx_recombine(pa, pb, rng)
 
 
