@@ -19,7 +19,8 @@ The initial phase depends only on the seed and the weight rule: parent
 selection starts after it, and its weights, starts and reference point come
 from the seed's streams and its own searches.  So mogls repeats momsls's K
 initial searches bit for bit, and moead umogls's; a shared `SearchMemo`
-lets the second run reuse them (see `experiment`).
+lets the second run reuse them (see `experiment`).  Each run's adapter holds
+the memo from its constructor until `end_initial_phase` drops it.
 """
 
 from __future__ import annotations
@@ -137,11 +138,12 @@ class SearchMemo:
     """The local searches of one initial phase on one instance, kept for the
     runs that repeat it.
 
-    A search's key is its checked start and all it reads of the scalarizer:
-    the spec, the bits of the weights and those of the reference (None for
-    linear); one with a transform is never memoized.  A hit returns a copy
-    of the stored solution and the stored point, and appends the stored
-    value trace, as the search itself would.
+    A search's key is its checked start, with all else the search reads
+    besides the instance (2-opt's candidate lists), and all it reads of the
+    scalarizer: the spec, the bits of the weights and those of the reference
+    (None for linear); one with a transform is never memoized.  A hit
+    returns a copy of the stored solution and the stored point, and appends
+    the stored value trace, as the search itself would.
     """
 
     def __init__(self) -> None:
@@ -170,12 +172,16 @@ class ProblemAdapter:
     and shared.  Objective points follow the minimization convention.
 
     Runs of one seed and one weight rule make the same K initial searches
-    (see the module docstring).  An adapter may take a `SearchMemo` that
-    they share, and hand it to the searches that read no run-local state:
-    mstsp and moscp use it until `end_initial_phase`.
+    (see the module docstring), so they may share a `SearchMemo`.  The
+    adapter holds it as `memo` until `end_initial_phase`, which drops it; an
+    override calls `super()`.  mstsp and moscp hand it to their searches;
+    tspwp's never read it, since its scalarizer carries per-run ranges.
     """
 
-    n_objectives: int
+    def __init__(self, instance: Any, memo: SearchMemo | None = None) -> None:
+        self.instance = instance
+        self.n_objectives: int = instance.n_objectives
+        self.memo = memo
 
     def begin_run(self, rng: np.random.Generator) -> None:
         """Run-start hook (e.g. objective-range estimation)."""
@@ -194,7 +200,8 @@ class ProblemAdapter:
         raise NotImplementedError
 
     def end_initial_phase(self, solutions: Sequence[Any]) -> None:
-        """Called once with the local optima of the initial phase."""
+        """Called once with the local optima of the initial phase; drops the memo."""
+        self.memo = None
 
     def scalarizing_transform(self) -> Callable[[np.ndarray], np.ndarray] | None:
         """Map from raw objective points into scalarization space, or None for

@@ -35,6 +35,7 @@ from .archive import write_points_csv
 from .engine import _UNIFORM_METHODS, METHODS, MethodConfig, ProblemAdapter, SearchMemo, check_integer, run_method
 from .indicators import (
     SCORED_OBJECTIVES,
+    check_alpha,
     hypervolume,
     r_measure,
     r_weight_set,
@@ -72,7 +73,6 @@ class Problem:
     file_count: int | None  # exact number of instance files; None: one per objective
     needs: str  # the files the problem needs, as its error message and the CLI help say
     adapter: type[ProblemAdapter]
-    takes_memo: bool = True  # whether the adapter takes a SearchMemo as its second argument
 
     def load(self, paths: Sequence):
         if not paths or (self.file_count is not None and len(paths) != self.file_count):
@@ -88,7 +88,7 @@ PROBLEMS = {
     "mstsp": Problem(lambda *paths: load_tsp_instance(paths), None,
                      "mstsp needs one coordinate file per objective", TspAdapter),
     "tspwp": Problem(load_tspwp_instance, 2,
-                     "tspwp needs exactly two files: coordinates then profits", TspwpAdapter, takes_memo=False),
+                     "tspwp needs exactly two files: coordinates then profits", TspwpAdapter),
     "moscp": Problem(parse_scp, 1, "moscp needs exactly one covering file", ScpAdapter),
 }
 
@@ -209,8 +209,7 @@ class ExperimentPlan:
         return PROBLEMS[self.problem].load(self.instance_paths)
 
     def make_adapter(self, instance, memo: SearchMemo | None = None) -> ProblemAdapter:
-        adapter = PROBLEMS[self.problem].adapter
-        return adapter(instance) if memo is None else adapter(instance, memo)
+        return PROBLEMS[self.problem].adapter(instance, memo)
 
     def config_for(self, method: str, seed: int) -> MethodConfig:
         shared = {name: getattr(self, name) for name in _CONFIG_FIELDS}
@@ -238,7 +237,7 @@ def _execute_job(plan: ExperimentPlan, methods: tuple[str, ...], seed: int) -> l
     """Run `methods` for `seed` on one loaded instance, in order; per run its
     raw result, or its `RunFailure` when it raised."""
     instance = plan.load_instance()
-    memo = SearchMemo() if len(methods) > 1 and PROBLEMS[plan.problem].takes_memo else None
+    memo = SearchMemo() if len(methods) > 1 else None
     runs = []
     for method in methods:
         try:
@@ -390,6 +389,7 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
 def pairwise_wilcoxon_report(records: Sequence[ResultRecord], alpha: float = 0.05) -> str:
     """Pairwise signed-rank decisions per instance, on R (lower better) and
     hypervolume (higher better), runs paired by seed."""
+    check_alpha(alpha)
     lines: list[str] = []
     for instance in sorted({r.instance for r in records}):
         recs = [r for r in records if r.instance == instance]

@@ -223,6 +223,12 @@ def _approx_two_sided_p(ranks: np.ndarray, w_plus: float) -> float:
     return 2.0 * (1.0 - NormalDist().cdf(z))
 
 
+def check_alpha(alpha: float) -> None:
+    """Reject a significance level outside (0, 1), nan included."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie in (0, 1)")
+
+
 def wilcoxon_signed_rank(
     a: Sequence[float], b: Sequence[float], alpha: float = 0.05
 ) -> WilcoxonResult:
@@ -239,8 +245,7 @@ def wilcoxon_signed_rank(
         raise ValueError("samples must be 1-D and equally long")
     if x.size < 5:
         raise ValueError(f"need at least 5 pairs, got {x.size}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie in (0, 1)")
+    check_alpha(alpha)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise ValueError("samples must be finite")
     diff = x - y

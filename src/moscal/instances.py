@@ -23,7 +23,7 @@ import numpy as np
 
 from .engine import EXACT_INT_LIMIT, _is_int64
 from .scp import ScpInstance
-from .tsp import TspInstance
+from .tsp import MIN_CITIES, TspInstance
 from .tspwp import TspwpInstance
 
 __all__ = [
@@ -50,6 +50,8 @@ DEFAULT_COORD_RANGE = 3000.0
 DEFAULT_CLUSTERS = 6
 DEFAULT_PROFIT_RANGE = (1, 100)
 GENERATED_OBJECTIVES = 2
+SCP_COST_RANGE = (1, 100)  # inclusive bounds of a generated column cost
+SCP_MIN_COVER = 2  # columns that cover each row of a generated instance, at least
 _WRAP = 12  # integers per line in set-covering files
 
 # Each generator kind's (required, optional) parameters, as `generate_instance`
@@ -327,31 +329,22 @@ def generate_profits(
     return rng.integers(low, high + 1, size=n)
 
 
-def generate_scp(
-    n_rows: int,
-    n_cols: int,
-    rng: np.random.Generator,
-    density: float = 0.2,
-    cost_low: int = 1,
-    cost_high: int = 100,
-    n_objectives: int = GENERATED_OBJECTIVES,
-    min_cover: int = 2,
-) -> ScpInstance:
+def generate_scp(n_rows: int, n_cols: int, rng: np.random.Generator, density: float = 0.2) -> ScpInstance:
     """Random coverage at the given density; every row ends up covered by at
-    least `min_cover` columns (random columns are added to short rows)."""
-    if n_rows < 1 or n_cols < min_cover or min_cover < 1:
-        raise ValueError("need n_rows >= 1 and n_cols >= min_cover >= 1")
+    least `SCP_MIN_COVER` columns (random columns are added to short rows),
+    and each column costs a uniform integer in `SCP_COST_RANGE` per objective."""
+    if n_rows < 1 or n_cols < SCP_MIN_COVER:
+        raise ValueError(f"need at least 1 row and {SCP_MIN_COVER} columns, got rows={n_rows}, cols={n_cols}")
     if not 0.0 < density <= 1.0:
         raise ValueError("density must lie in (0, 1]")
-    if not 0 < cost_low <= cost_high:
-        raise ValueError("need 0 < cost_low <= cost_high")
     coverage = rng.random((n_rows, n_cols)) < density
     for row in range(n_rows):
-        missing = min_cover - int(coverage[row].sum())
+        missing = SCP_MIN_COVER - int(coverage[row].sum())
         if missing > 0:
             off = np.flatnonzero(~coverage[row])
             coverage[row, rng.choice(off, size=missing, replace=False)] = True
-    costs = rng.integers(cost_low, cost_high + 1, size=(n_objectives, n_cols))
+    low, high = SCP_COST_RANGE
+    costs = rng.integers(low, high + 1, size=(GENERATED_OBJECTIVES, n_cols))
     return ScpInstance(costs, coverage)
 
 
@@ -384,6 +377,8 @@ def generate_instance(kind: str, out, seed: int, **params) -> list[Path]:
     missing = [name for name in required if name not in params]
     if missing:
         raise ValueError(f"kind {kind!r} needs {' and '.join(missing)}")
+    if "n" in params and int(params["n"]) < MIN_CITIES:
+        raise ValueError(f"kind {kind!r} needs n >= {MIN_CITIES}, got {params['n']}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)

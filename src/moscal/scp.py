@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -409,13 +409,7 @@ def _cover_remaining(
 
 
 class ScpAdapter(ProblemAdapter):
-    """Engine adapter for a set covering instance; a `memo` serves the
-    initial phase's searches."""
-
-    def __init__(self, instance: ScpInstance, memo: SearchMemo | None = None) -> None:
-        self.instance = instance
-        self.n_objectives = instance.n_objectives
-        self.memo = memo
+    """Engine adapter for a set covering instance."""
 
     def random_solution(self, rng: np.random.Generator) -> CoverSolution:
         return random_cover(self.instance, rng)
@@ -430,6 +424,3 @@ class ScpAdapter(ProblemAdapter):
         self, parent_a: CoverSolution, parent_b: CoverSolution, rng: np.random.Generator
     ) -> CoverSolution:
         return scp_recombine(parent_a, parent_b, rng, self.instance)
-
-    def end_initial_phase(self, solutions: Sequence[CoverSolution]) -> None:
-        self.memo = None

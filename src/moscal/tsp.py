@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _DPX_ATTEMPTS = 30
+MIN_CITIES = 4  # the fewest cities with two nonadjacent edges, so a 2-opt move
 
 
 @dataclass(frozen=True)
@@ -63,8 +64,8 @@ def _check_costs(m: np.ndarray) -> int:
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("cost matrix must be square")
     n = m.shape[0]
-    if n < 4:
-        raise ValueError("instance needs at least 4 cities")
+    if n < MIN_CITIES:
+        raise ValueError(f"instance needs at least {MIN_CITIES} cities")
     if (m < 0).any():
         raise ValueError("costs must be nonnegative")
     if (m != m.T).any():
@@ -493,12 +494,13 @@ def two_opt_local_search(
     by the chosen move's integer deltas, read as Python ints through
     memoryviews of the cost matrices, and returned with the tour.
 
-    A `memo` (see `SearchMemo`) keys the search by the tour and the
-    scalarizer, not by the lists, so only searches without lists take one.
+    A `memo` (see `SearchMemo`) keys the search by the tour, the lists and
+    the scalarizer: all it reads besides the instance.
     """
     t = _check_tour(instance, tour)
     if memo is not None:
-        return memo.search(t.tobytes(), scalarizer, value_trace, partial(_two_opt, instance, t, scalarizer, candidates))
+        run = partial(_two_opt, instance, t, scalarizer, candidates)
+        return memo.search((t.tobytes(), candidates), scalarizer, value_trace, run)
     return _two_opt(instance, t, scalarizer, candidates, value_trace)
 
 
@@ -655,14 +657,9 @@ def dpx_recombine(
 
 class TspAdapter(ProblemAdapter):
     """Engine adapter; candidate lists are built after the initial phase and
-    restrict 2-opt for the rest of the run.  A `memo` serves the searches
-    without lists only."""
+    restrict 2-opt for the rest of the run."""
 
-    def __init__(self, instance: TspInstance, memo: SearchMemo | None = None):
-        self.instance = instance
-        self.n_objectives = instance.n_objectives
-        self.candidates: CandidateLists | None = None
-        self.memo = memo
+    candidates: CandidateLists | None = None
 
     def random_solution(self, rng: np.random.Generator) -> np.ndarray:
         return random_tour(self.instance, rng)
@@ -671,11 +668,11 @@ class TspAdapter(ProblemAdapter):
         return tsp_evaluate(self.instance, solution)
 
     def local_search(self, solution: np.ndarray, scalarizer: Scalarizer) -> ArchiveEntry:
-        memo = self.memo if self.candidates is None else None
-        return two_opt_local_search(self.instance, solution, scalarizer, self.candidates, memo=memo)
+        return two_opt_local_search(self.instance, solution, scalarizer, self.candidates, memo=self.memo)
 
     def recombine(self, parent_a: np.ndarray, parent_b: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         return dpx_recombine(parent_a, parent_b, rng)
 
     def end_initial_phase(self, solutions: Sequence[np.ndarray]) -> None:
+        super().end_initial_phase(solutions)
         self.candidates = build_candidate_lists(solutions)

@@ -376,15 +376,11 @@ def dpx_wp_recombine(
 class TspwpAdapter(ProblemAdapter):
     """Engine adapter; estimates normalization ranges at the start of each run.
 
-    It takes no `SearchMemo`: its scalarizer carries the run's own ranges as
-    a transform, which a memo never keys, and no workload, script or
-    acceptance test runs two tspwp methods of one weight rule.
+    Its searches never read the `memo`: its scalarizer carries the run's own
+    ranges as a transform, which a memo never keys.
     """
 
-    def __init__(self, instance: TspwpInstance):
-        self.instance = instance
-        self.n_objectives = 2
-        self.ranges: ObjectiveRanges | None = None
+    ranges: ObjectiveRanges | None = None
 
     def begin_run(self, rng: np.random.Generator) -> None:
         self.ranges = estimate_ranges(self.instance, rng)

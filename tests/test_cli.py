@@ -158,13 +158,17 @@ def test_run_rejects_bad_rank_and_seed_before_running(tsp_files, tmp_path, capsy
         (["--kind", "cluster", "--n", "8", "--coord-range", "inf"], "coord_range must be positive and finite, got inf"),
         (["--kind", "euclidean"], "kind 'euclidean' needs n"),
         (["--kind", "scp", "--rows", "6"], "kind 'scp' needs cols"),
+        (["--kind", "euclidean", "--n", "3"], "kind 'euclidean' needs n >= 4, got 3"),
+        (["--kind", "cluster", "--n", "3"], "kind 'cluster' needs n >= 4, got 3"),
+        (["--kind", "profits", "--n", "3"], "kind 'profits' needs n >= 4, got 3"),
     ],
     ids=["negative-seed", "nan-spread", "inf-spread", "negative-spread", "nan-coord-range", "inf-coord-range",
-         "euclidean-without-n", "scp-without-cols"],
+         "euclidean-without-n", "scp-without-cols", "euclidean-3-cities", "cluster-3-cities", "profits-3-cities"],
 )
 def test_gen_rejects_bad_seed_spread_and_range(tmp_path, capsys, args, message):
     # a nan or inf spread wrote a file of non-finite coordinates; the others
-    # failed inside numpy, or printed "error: 'n'" and "error: 'cols'"
+    # failed inside numpy, or printed "error: 'n'" and "error: 'cols'"; 3
+    # cities wrote files that every loader rejected
     assert run_cli("gen", *args, "--out", str(tmp_path / "g")) == 1
     assert capsys.readouterr().err.strip() == f"error: {message}"
     assert not list(tmp_path.glob("g*"))
@@ -314,6 +318,19 @@ def test_compare_and_table(tsp_files, tmp_path, capsys):
     grid = (tmp_path / "grid.csv").read_text().splitlines()
     assert grid[0] == "instance,method,n,R_mean,R_std,HV_mean,HV_std"
     assert len(grid) == 3
+
+
+@pytest.mark.parametrize("alpha", ["7", "0", "1", "nan"])
+def test_compare_rejects_an_alpha_outside_the_unit_interval(tsp_files, tmp_path, capsys, alpha):
+    # with fewer than 5 paired runs, --alpha 7 printed "alpha=7" headers and exited 0
+    plan = ExperimentPlan(
+        problem="mstsp", instance_paths=tuple(tsp_files), output_dir=str(tmp_path / "exp"),
+        generations=1, weight_count=6, methods=("momsls", "mogls"), replications=1,
+    )
+    results = str(run_experiment(plan).results_csv)
+    capsys.readouterr()
+    assert run_cli("compare", "--results", results, "--alpha", alpha) == 1
+    assert capsys.readouterr() == ("", "error: alpha must lie in (0, 1)\n")
 
 
 def test_compare_and_table_reject_a_repeated_run(tsp_files, tmp_path, capsys):

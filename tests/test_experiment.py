@@ -286,14 +286,18 @@ def scp_paths(tmp_path):
     return [str(p) for p in generate_instance("scp", tmp_path / "cover", seed=4, rows=12, cols=30)]
 
 
-@pytest.mark.parametrize("problem", ["mstsp", "moscp"])
+@pytest.mark.parametrize("problem", ["mstsp", "moscp", "tspwp"])
 def test_run_experiment_archives_equal_solo_runs_without_a_memo(tsp_paths, scp_paths, tmp_path, problem):
-    paths = tsp_paths if problem == "mstsp" else scp_paths
-    plan = small_plan(paths, tmp_path / "out", problem=problem, methods=METHODS, replications=2)
+    paths, methods = (tsp_paths if problem == "mstsp" else scp_paths), METHODS
+    if problem == "tspwp":  # one job of two runs that share a memo their searches never read
+        paths = [str(p) for p in generate_instance("euclidean", tmp_path / "wp", seed=3, n=8, objectives=1)]
+        paths += [str(p) for p in generate_instance("profits", tmp_path / "wp", seed=4, n=8)]
+        methods = ("umogls", "moead")
+    plan = small_plan(paths, tmp_path / "out", problem=problem, methods=methods, replications=2)
     outcome = run_experiment(plan)
-    assert not outcome.failures and len(outcome.records) == 8
+    assert not outcome.failures and len(outcome.records) == 2 * len(methods)
     instance = plan.load_instance()
-    for method in METHODS:
+    for method in methods:
         for seed in (100, 101):
             solo = run_method(plan.config_for(method, seed=seed), plan.make_adapter(instance))
             write_points_csv(solo.archive, tmp_path / "solo.csv")

@@ -297,7 +297,7 @@ def test_generate_scp_coverage_floor():
     inst = generate_scp(40, 200, np.random.default_rng(11), density=0.02)
     assert inst.n_rows == 40 and inst.n_columns == 200
     assert (inst.coverage.sum(axis=1) >= 2).all()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^need at least 1 row and 2 columns, got rows=10, cols=1$"):
         generate_scp(10, 1, np.random.default_rng(0))
     with pytest.raises(ValueError):
         generate_scp(10, 20, np.random.default_rng(0), density=0.0)

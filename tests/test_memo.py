@@ -9,6 +9,7 @@ from moscal.engine import SearchMemo
 from moscal.scalarizing import Scalarizer, ScalarizerSpec, WeightVector
 from moscal.scp import ScpAdapter, ScpInstance, random_cover, scp_local_search
 from moscal.tsp import TspAdapter, TspInstance, two_opt_local_search
+from moscal.tspwp import TspwpAdapter, TspwpInstance
 
 CHEBY = ScalarizerSpec("chebycheff")
 
@@ -118,9 +119,42 @@ def test_tsp_adapter_hands_the_memo_only_to_searches_without_lists(computed):
     assert [second.local_search(x, s)[0].tobytes() for x in starts] == [t.tobytes() for t in optima]
     assert computed["tsp"] == 3
     second.end_initial_phase(optima)
-    second.memo.search = None  # any read of the memo would now raise
+    assert second.memo is None
+    memo.search = None  # any read of the memo would now raise
     second.local_search(starts[0], s)
     assert computed["tsp"] == 4
+
+
+def test_a_listed_search_misses_the_memo_of_one_without_lists(computed):
+    inst = tsp_instance()
+    start = np.random.default_rng(7).permutation(inst.n)
+    s = Scalarizer((0.5, 0.5), ScalarizerSpec("linear"))
+    memo = SearchMemo()
+    optimum, _ = two_opt_local_search(inst, start, s, memo=memo)
+    assert optimum.tobytes() != start.tobytes()
+    # lists that allow no move make the start a local optimum
+    no_moves = tsp.CandidateLists(tuple(frozenset() for _ in range(inst.n)))
+    listed, point = two_opt_local_search(inst, start, s, candidates=no_moves, memo=memo)
+    assert listed.tobytes() == start.tobytes() and point == tsp.tsp_evaluate(inst, start)
+    assert computed["tsp"] == 2
+    # equal lists, built apart, share one entry
+    again = two_opt_local_search(inst, start, s, candidates=tsp.CandidateLists(no_moves.members), memo=memo)
+    assert again[0].tobytes() == start.tobytes() and computed["tsp"] == 2
+
+
+@pytest.mark.parametrize("problem", ["mstsp", "tspwp", "moscp"])
+def test_end_initial_phase_drops_the_memo(problem):
+    if problem == "moscp":
+        adapter = ScpAdapter(scp_instance(), SearchMemo())
+    elif problem == "mstsp":
+        adapter = TspAdapter(tsp_instance(), SearchMemo())
+    else:
+        costs = tsp_instance().costs[0]
+        adapter = TspwpAdapter(TspwpInstance(costs, np.arange(1, costs.shape[0] + 1)), SearchMemo())
+    assert adapter.memo is not None
+    rng = np.random.default_rng(9)
+    adapter.end_initial_phase([adapter.random_solution(rng) for _ in range(3)])
+    assert adapter.memo is None
 
 
 def test_scp_adapter_drops_the_memo_at_the_end_of_the_initial_phase(computed):
