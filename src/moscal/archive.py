@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+from itertools import compress
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 import numpy as np
 
-from .scalarizing import ObjectivePoint, as_point
+from .scalarizing import ObjectivePoint, as_point, check_integer
 
 __all__ = ["dominates", "ParetoArchive", "ArchiveEntry", "write_points_csv", "read_points_csv"]
 
 ArchiveEntry = tuple[Any, ObjectivePoint]
+
+_INITIAL_CAPACITY = 16  # rows of the point buffer at the first insert
 
 
 def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
@@ -22,16 +25,28 @@ def dominates(a: Sequence[float], b: Sequence[float]) -> bool:
 
 
 class ParetoArchive:
-    """Flat list of (solution, point) pairs, kept mutually nondominated.
+    """Mutually nondominated (solution, point) pairs, in insertion order.
 
     A candidate equal (in objectives) to a stored point is rejected even if its
-    solution differs, so the archive never holds duplicate points.
+    solution differs, so the archive never holds duplicate points.  Entries
+    keep the order they were inserted in as dominated ones drop out;
+    `entry(i)`, `points()`, `solutions()` and `points_matrix()` all give that
+    order, and the engine's tournament draws by index from it.
+
+    The points fill the first rows of a (capacity, J) float buffer whose
+    capacity doubles when it is full, so an insert writes one row instead of
+    copying the archive.  Dominance is tested one objective column at a
+    time, since numpy reduces over a short last axis far more slowly.
     """
 
     def __init__(self, n_objectives: int | None = None):
+        if n_objectives is not None:
+            check_integer(n_objectives, "n_objectives")
+            if n_objectives < 2:
+                raise ValueError(f"n_objectives must be None or at least 2, got {n_objectives}")
         self.n_objectives = n_objectives
         self._solutions: list[Any] = []
-        self._points = np.empty((0, n_objectives or 0), dtype=float)
+        self._rows = np.empty((0, n_objectives or 0))
 
     def __len__(self) -> int:
         return len(self._solutions)
@@ -44,38 +59,56 @@ class ParetoArchive:
         pt = as_point(point)
         if self.n_objectives is None:
             self.n_objectives = len(pt)
-            self._points = self._points.reshape(0, len(pt))
+            self._rows = self._rows.reshape(0, len(pt))
         elif len(pt) != self.n_objectives:
             raise ValueError(f"point has {len(pt)} objectives, archive expects {self.n_objectives}")
-        row = np.asarray(pt, dtype=float)
-        if len(self._solutions):
+        m = len(self._solutions)
+        if m:
+            stored = self._rows[:m]
+            columns = [stored[:, j] for j in range(len(pt))]
             # an entry componentwise <= the candidate either dominates or equals it
-            if bool(((self._points <= row).all(axis=1)).any()):
+            if _everywhere(np.less_equal, columns, pt).any():
                 return False
-            keep = ~(self._points >= row).all(axis=1)
-            if not keep.all():
-                self._points = self._points[keep]
-                self._solutions = [s for s, k in zip(self._solutions, keep) if k]
-        self._points = np.vstack([self._points, row[None, :]])
+            above = _everywhere(np.greater_equal, columns, pt)
+            if above.any():
+                keep = ~above
+                kept = stored[keep]
+                m = len(kept)
+                self._rows[:m] = kept
+                self._solutions = list(compress(self._solutions, keep.tolist()))
+        if m == len(self._rows):
+            grown = np.empty((max(2 * m, _INITIAL_CAPACITY), len(pt)))
+            grown[:m] = self._rows[:m]
+            self._rows = grown
+        self._rows[m] = pt
         self._solutions.append(solution)
         return True
 
     def points_matrix(self) -> np.ndarray:
-        """(M, J) array of stored points; treat as read-only."""
-        return self._points
+        """(M, J) array of stored points, a view valid until the next
+        `update`; treat as read-only."""
+        return self._rows[: len(self._solutions)]
 
     def points(self) -> list[ObjectivePoint]:
-        return [tuple(float(v) for v in row) for row in self._points]
+        return [tuple(row) for row in self.points_matrix().tolist()]
 
     def solutions(self) -> list[Any]:
         return list(self._solutions)
 
     def entry(self, i: int) -> ArchiveEntry:
-        return self._solutions[i], tuple(float(v) for v in self._points[i])
+        return self._solutions[i], tuple(self.points_matrix()[i].tolist())
 
     def __iter__(self) -> Iterator[ArchiveEntry]:
         for i in range(len(self._solutions)):
             yield self.entry(i)
+
+
+def _everywhere(compare: np.ufunc, columns: list[np.ndarray], point: ObjectivePoint) -> np.ndarray:
+    """Which rows pass `compare(column, value)` in every objective."""
+    passed = compare(columns[0], point[0])
+    for column, v in zip(columns[1:], point[1:]):
+        passed &= compare(column, v)
+    return passed
 
 
 def _format_value(v: float) -> str:

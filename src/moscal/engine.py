@@ -39,6 +39,7 @@ from .scalarizing import (
     Scalarizer,
     ScalarizerSpec,
     WeightVector,
+    check_integer,
     draw_random_weight,
     generate_uniform_weights,
     granularity_for_count,
@@ -71,13 +72,6 @@ def check_exact_integers(bound: int, what: str) -> None:
     """Reject an instance whose integer objective sums may reach 2**53."""
     if bound >= EXACT_INT_LIMIT:
         raise ValueError(f"{what} is {bound}, at or above 2**53, where float objectives skip integers")
-
-
-def check_integer(value: Any, what: str) -> None:
-    """Reject a count or seed that is no Python or numpy integer; a float
-    such as 1.5 would fail later, deep inside a loop or numpy."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def _is_int64(v: Any) -> bool:

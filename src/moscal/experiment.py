@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import os
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -281,6 +280,10 @@ def run_experiment(plan: ExperimentPlan) -> ExperimentOutcome:
     raw = []
     # A job that raises, here or in a pool worker, fails each of its runs.
     parallel = plan.workers > 1
+    if parallel:
+        # imported here, not at the top: loading the pool's module adds to
+        # every start of the program, and most studies run in-process
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=plan.workers) if parallel else nullcontext() as pool:
         results = [
             pool.submit(_execute_job, plan, *job).result if parallel else partial(_execute_job, plan, *job)

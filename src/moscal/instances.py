@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .engine import EXACT_INT_LIMIT, _is_int64
+from .scalarizing import check_integer
 from .scp import ScpInstance
 from .tsp import MIN_CITIES, TspInstance
 from .tspwp import TspwpInstance
@@ -63,6 +64,8 @@ GENERATOR_PARAMS = {
     "scp": (("rows", "cols"), ("density",)),
     "scp3": (("rows", "cols"), ("density",)),
 }
+# the parameters that count or bound integers; a fraction would be truncated
+_INTEGER_PARAMS = ("n", "objectives", "clusters", "low", "high", "rows", "cols")
 
 
 class ParseError(ValueError):
@@ -377,7 +380,11 @@ def generate_instance(kind: str, out, seed: int, **params) -> list[Path]:
     missing = [name for name in required if name not in params]
     if missing:
         raise ValueError(f"kind {kind!r} needs {' and '.join(missing)}")
-    if "n" in params and int(params["n"]) < MIN_CITIES:
+    check_integer(seed, "seed")
+    for name in _INTEGER_PARAMS:
+        if name in params:
+            check_integer(params[name], name)
+    if "n" in params and params["n"] < MIN_CITIES:
         raise ValueError(f"kind {kind!r} needs n >= {MIN_CITIES}, got {params['n']}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")

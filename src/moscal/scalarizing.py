@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -35,6 +35,7 @@ __all__ = [
     "ScalarizerSpec",
     "Scalarizer",
     "as_point",
+    "check_integer",
     "generate_uniform_weights",
     "draw_random_weight",
     "uniform_weight_count",
@@ -49,6 +50,13 @@ KINDS = ("linear", "chebycheff", "mixed")
 
 # (w_linear, w_cheby): the fixed pairs of linear and chebycheff, the default of mixed
 _MIX_WEIGHTS = {"linear": (1.0, 0.0), "chebycheff": (0.0, 1.0), "mixed": (0.5, 0.5)}
+
+
+def check_integer(value: Any, what: str) -> None:
+    """Reject a count or seed that is no Python or numpy integer; a float
+    such as 1.5 would fail later, deep inside a loop or numpy."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
 
 
 def as_point(values: Iterable[float]) -> ObjectivePoint:
@@ -258,6 +266,18 @@ class Scalarizer:
         """Scalarize one point: `value_columns` of its components, as a float."""
         if len(z) != len(self._weight_columns):
             raise ValueError(f"point dimension {len(z)} != weight dimension {len(self._weight_columns)}")
+        return self.score(z)
+
+    def score(self, z: Sequence[float]) -> float:
+        """`__call__` for a point whose dimension the caller has checked.
+
+        Without a transform the kind's terms run on the point's components
+        directly, as `value_columns` runs them, so the bits are those of
+        `__call__`; a loop that rescores many points of one dimension, such
+        as 2-opt's after each move, skips the check and a layer per point.
+        """
+        if self.transform is None:
+            return float(self._terms(z))
         return float(self.value_columns(*z))
 
 

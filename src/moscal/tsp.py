@@ -56,6 +56,12 @@ class TspInstance:
     def n_objectives(self) -> int:
         return len(self.costs)
 
+    @cached_property
+    def _float_costs(self) -> tuple[np.ndarray, ...]:
+        """`costs` as floats, exact: every cost is an integer and n x max
+        cost < 2**53.  Built on first use, so set-up does not pay for it."""
+        return tuple(c.astype(float) for c in self.costs)
+
 
 def _check_costs(m: np.ndarray) -> int:
     """The city count n of an int64 cost matrix; a ValueError names the first
@@ -286,7 +292,7 @@ class _Moves:
         self.scalarizer = scalarizer
         self.plain = scalarizer.is_plain_linear
         if self.plain:
-            self.costs = [scalarizer.value_columns(*instance.costs)]
+            self.costs = [scalarizer.value_columns(*instance._float_costs)]
         else:
             self.costs = list(instance.costs)
 
@@ -305,6 +311,15 @@ class _DenseMoves(_Moves):
     scalarized values: x + 0.0 == x, so each valid move keeps its bits and
     every other entry reads inf.
 
+    The plain linear kind scores its one weighted matrix (`_plain_values`):
+    a step is two `take`s, the add, the two subtractions, the value and bias
+    adds and an argmin, on arrays bound once in `__init__`.  At n = 30 these
+    eight numpy calls take about 7 us (numpy 2.4, a 2-core x86 host), so the
+    plain step keeps the Python around them to one method call, with no
+    per-matrix loop.  The other kinds gather and offset one integer matrix
+    per objective and scalarize the J delta columns with
+    `Scalarizer.value_columns` (`_values`).
+
     With a candidate bias (`CandidateLists.bias`: 0 where c is in cand(a),
     inf elsewhere), the mask is the bias gathered into tour order with the
     same offsets: `np.minimum` of a move's two added edges reads 0 exactly
@@ -318,34 +333,54 @@ class _DenseMoves(_Moves):
     give the same move and value.  The mask buffers are allocated at the
     first step that needs them.
 
-    The arrays that `values` and `best` read are reused: a returned view is
-    valid only until the next call.
+    The arrays that `values` and `best` read are reused, and belong to this
+    scorer alone: a returned view is valid only until its next call.
     """
 
     def __init__(self, instance: TspInstance, scalarizer: Scalarizer, candidate_bias: np.ndarray | None = None):
         super().__init__(instance, scalarizer)
         n = self.n
         self.bias = _padded_bias(n)
-        self.order = _TourOrder(n, self.costs[0].dtype)
-        self.removed = self.order.removed
+        self.order = order = _TourOrder(n, self.costs[0].dtype)
+        self.removed = order.removed
         self.removed_col = self.removed[:n, None]
         self.deltas = [np.empty(n * (n + 1), dtype=c.dtype) for c in self.costs]
         self.grids = [d.reshape(n, n + 1) for d in self.deltas]
         self.candidate_bias = candidate_bias
         self.mask_order: _TourOrder | None = None
         self.mask: np.ndarray | None = None
+        # what a plain step reads, bound once
+        self.plain_scan = (
+            self.costs[0], order.rows, order.square, order.first, order.second,
+            self.deltas[0], self.grids[0], self.removed_col, self.removed, self.bias,
+        )
 
-    def _values(self, te: np.ndarray, point: list[int], value: float) -> np.ndarray:
-        """The unmasked values in padded rows: move (i, k) at i*(n+1) + k."""
+    def _plain_values(self, te: np.ndarray, value: float) -> np.ndarray:
+        """The unmasked values of the plain linear kind, in padded rows: move
+        (i, k) at i*(n+1) + k."""
+        c, rows, square, first, second, d, grid, removed_col, removed, bias = self.plain_scan
+        # mode "clip" is safe only because `_check_tour` has validated the ids
+        c.take(te, 0, rows, "clip")
+        rows.take(te, 1, square, "clip")
+        np.add(first, second, d)
+        grid -= removed_col
+        grid -= removed
+        d += value
+        d += bias
+        return d
+
+    def _values(self, te: np.ndarray, point: list[int]) -> np.ndarray:
+        """The unmasked values of a kind other than plain linear, in padded
+        rows: move (i, k) at i*(n+1) + k."""
         order, removed, removed_col = self.order, self.removed, self.removed_col
         first, second = order.first, order.second
-        for c, d, grid, offset in zip(self.costs, self.deltas, self.grids, (value,) if self.plain else point):
+        for c, d, grid, offset in zip(self.costs, self.deltas, self.grids, point):
             order.gather(c, te)
             np.add(first, second, out=d)
             grid -= removed_col
             grid -= removed
             d += offset
-        vals = self.deltas[0] if self.plain else self.scalarizer.value_columns(*self.deltas)
+        vals = self.scalarizer.value_columns(*self.deltas)
         vals += self.bias
         return vals
 
@@ -363,7 +398,7 @@ class _DenseMoves(_Moves):
         """The (n, n) value of every move (i, k), inf where `_invalid_pairs`
         marks it or the candidate bias masks it; a view of a reused array."""
         n = self.n
-        vals = self._values(te, point, value)
+        vals = self._plain_values(te, value) if self.plain else self._values(te, point)
         if self.candidate_bias is not None:
             self._add_mask(vals, te)
         return vals.reshape(n, n + 1)[:, :n]
@@ -372,7 +407,7 @@ class _DenseMoves(_Moves):
         """The best move's flat index i*n + k and its value; ties go to the
         lowest i*n + k, since the pad column reads inf."""
         n = self.n
-        vals = self._values(te, point, value)
+        vals = self._plain_values(te, value) if self.plain else self._values(te, point)
         at = int(vals.argmin())
         i, k = divmod(at, n + 1)
         bias = self.candidate_bias
@@ -493,6 +528,9 @@ def two_opt_local_search(
     scan masked by the lists.  The exact integer objective point is updated
     by the chosen move's integer deltas, read as Python ints through
     memoryviews of the cost matrices, and returned with the tour.
+    Each step calls the scorer's bound `best` once and rescores the new
+    point with `Scalarizer.score`, which gives the bits of the checked
+    `scalarizer(point)` that scores the start.
 
     A `memo` (see `SearchMemo`) keys the search by the tour, the lists and
     the scalarizer: all it reads besides the instance.
@@ -518,20 +556,22 @@ def _two_opt(instance: TspInstance, t: np.ndarray, scalarizer: Scalarizer, candi
     value = scalarizer(point)
     if value_trace is not None:
         value_trace.append(value)
-    moves = _moves(instance, scalarizer, candidates)
+    step, rescore = _moves(instance, scalarizer, candidates).best, scalarizer.score
     # zero-copy views of the tour and the flat int64 matrices: indexing one
     # gives a Python int, and the views see every reversal of the tour
     cities, flat_costs = memoryview(te), [memoryview(c.reshape(-1)) for c in instance.costs]
     while True:
-        flat, best = moves.best(te, point, value)
+        flat, best = step(te, point, value)
         if not best < value - IMPROVEMENT_EPS:
             break
         i, k = divmod(flat, n)
         a, b, c, d = cities[i], cities[i + 1], cities[k], cities[k + 1]
-        t[i + 1 : k + 1] = t[i + 1 : k + 1][::-1]  # t[0] never moves, so te[n] stays equal to it
+        # reversed through the memoryview, which copies an overlapping
+        # slice via a buffer; t[0] never moves, so te[n] stays equal to it
+        cities[i + 1 : k + 1] = cities[k:i:-1]
         ac, bd, ab, cd = a * n + c, b * n + d, a * n + b, c * n + d
         point = [z + m[ac] + m[bd] - m[ab] - m[cd] for z, m in zip(point, flat_costs)]
-        value = scalarizer(point)
+        value = rescore(point)
         if value_trace is not None:
             value_trace.append(value)
     return t.copy(), tuple(map(float, point))

@@ -90,6 +90,83 @@ def test_archive_matches_brute_force_on_random_sequences():
             assert not dominates(p, q) and not dominates(q, p)
 
 
+class FrozenVstackArchive:
+    """Oracle: the archive as first written, every point row stacked anew
+    with `np.vstack` on each insert and compacted with a boolean index."""
+
+    def __init__(self, n_objectives):
+        self.solutions = []
+        self.points = np.empty((0, n_objectives))
+
+    def update(self, solution, point):
+        row = np.asarray(point, dtype=float)
+        if self.solutions:
+            if bool(((self.points <= row).all(axis=1)).any()):
+                return False
+            keep = ~(self.points >= row).all(axis=1)
+            if not keep.all():
+                self.points = self.points[keep]
+                self.solutions = [s for s, k in zip(self.solutions, keep) if k]
+        self.points = np.vstack([self.points, row[None, :]])
+        self.solutions.append(solution)
+        return True
+
+
+def archive_order_sequences(rng):
+    """(J, points) insert sequences: random grids full of duplicates and
+    exact ties, a front long enough to grow the buffer several times,
+    dominance chains up and down, a front cut by two points, and points
+    equal in all objectives but one."""
+    for j in (2, 3):
+        pad = (0,) * (j - 2)
+        for _ in range(40):
+            grid = int(rng.integers(2, 9))
+            yield j, [tuple(rng.integers(0, grid, size=j).tolist()) for _ in range(int(rng.integers(1, 80)))]
+        front = [(i, 150 - i) + (i % 7,) * (j - 2) for i in range(150)]
+        yield j, [front[i] for i in rng.permutation(150)]
+        chain = [(k,) * j for k in range(40)]
+        yield j, chain  # every point dominated by the first
+        yield j, chain[::-1]  # every point dominates the archive
+        cut = [(i, 60 - i) + pad for i in range(60)]
+        yield j, cut + [(20, 20) + pad, (10, 10) + pad] + cut
+        yield j, [(3,) * j] + [tuple(3 - (i == pos) for i in range(j)) for pos in range(j)] + [(3,) * j, (2,) * j]
+
+
+def test_archive_keeps_the_order_and_bytes_of_the_frozen_vstack_archive():
+    # the tournament draws archive entries by index, so the stored order,
+    # not only the point set, decides every later run of the engine
+    rng = np.random.default_rng(25)
+    compactions = grown = 0
+    for j, sequence in archive_order_sequences(rng):
+        for archive in (ParetoArchive(), ParetoArchive(j)):
+            frozen = FrozenVstackArchive(j)
+            for i, point in enumerate(sequence):
+                point = tuple(float(v) for v in point)
+                before = len(frozen.solutions)
+                changed = archive.update(i, point)
+                assert changed is frozen.update(i, point), (j, i, point)
+                compactions += len(frozen.solutions) < before + changed
+                assert archive.solutions() == frozen.solutions, (j, i)
+                assert archive.points() == [tuple(row) for row in frozen.points.tolist()], (j, i)
+                matrix = archive.points_matrix()
+                assert matrix.shape == frozen.points.shape and matrix.tobytes() == frozen.points.tobytes(), (j, i)
+                assert len(archive) == len(frozen.solutions)
+            assert list(archive) == [archive.entry(i) for i in range(len(archive))]
+            grown = max(grown, len(archive))
+    assert compactions > 100 and grown >= 150
+
+
+@pytest.mark.parametrize("n_objectives", [0, 1, -3, 2.5, 2.0, True, "3", (2,)], ids=repr)
+def test_archive_rejects_an_objective_count_below_two_or_not_an_integer(n_objectives):
+    with pytest.raises(ValueError, match="n_objectives"):
+        ParetoArchive(n_objectives)
+
+
+def test_archive_takes_numpy_integer_objective_counts():
+    a = ParetoArchive(np.int64(3))
+    assert a.update("s", (1.0, 2.0, 3.0)) and a.points() == [(1.0, 2.0, 3.0)]
+
+
 def test_csv_round_trip(tmp_path):
     a = ParetoArchive()
     a.update(0, (1500.0, 2250.5))

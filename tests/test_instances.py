@@ -266,6 +266,27 @@ def test_generate_instance_rejects_negative_seed(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "kind, seed, params, name",
+    [
+        pytest.param("euclidean", 1, dict(n=4.7), "n", id="n-4.7"),  # wrote a 4-city instance
+        pytest.param("euclidean", 1, dict(n="8"), "n", id="n-str"),
+        pytest.param("euclidean", 1, dict(n=8, objectives=2.5), "objectives", id="objectives-2.5"),
+        pytest.param("cluster", 1, dict(n=8, clusters=2.5), "clusters", id="clusters-2.5"),
+        pytest.param("profits", 1, dict(n=8, low=1.5), "low", id="low-1.5"),
+        pytest.param("profits", 1, dict(n=8, high=np.float64(50)), "high", id="high-float64"),
+        pytest.param("scp", 1, dict(rows=5.9, cols=12), "rows", id="rows-5.9"),  # wrote a 5x12 cover
+        pytest.param("scp3", 1, dict(rows=5, cols=10.2), "cols", id="cols-10.2"),
+        pytest.param("scp", 1.5, dict(rows=5, cols=12), "seed", id="seed-1.5"),  # failed inside numpy
+        pytest.param("euclidean", True, dict(n=8), "seed", id="seed-True"),
+    ],
+)
+def test_generate_instance_rejects_sizes_and_seeds_that_are_no_integer(tmp_path, kind, seed, params, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        generate_instance(kind, tmp_path / "sub" / "g", seed=seed, **params)
+    assert not list(tmp_path.iterdir())  # not even the directory
+
+
 def test_generate_instance_checks_parameters_against_its_table(tmp_path):
     values = dict(n=8, objectives=2, coord_range=100.0, clusters=2, spread=1.0,
                   low=1, high=5, rows=5, cols=12, density=0.3)

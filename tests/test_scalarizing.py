@@ -232,11 +232,12 @@ def frozen_call(s, z):
 
 
 def test_call_bit_matches_the_frozen_python_float_path():
-    # __call__ runs the terms that score arrays on the point's components;
-    # it must give the bits of the Python-float copy it replaced: every kind
-    # and mix share, J = 2 and 3, with and without a transform, on points
-    # around the reference (0.0 and -0.0 chebycheff terms that tie), with
-    # a nan in each position, and as int and float tuples and arrays
+    # __call__ and score run the terms that score arrays on the point's
+    # components; they must give the bits of the Python-float copy they
+    # replaced: every kind and mix share, J = 2 and 3, with and without a
+    # transform, on points around the reference (0.0 and -0.0 chebycheff
+    # terms that tie), with a nan in each position, and as int and float
+    # tuples and arrays
     specs = (
         ScalarizerSpec("linear"),
         ScalarizerSpec("chebycheff"),
@@ -268,6 +269,10 @@ def test_call_bit_matches_the_frozen_python_float_path():
                 got, want = s(z), frozen_call(s, z)
                 assert type(got) is float
                 assert bits(got) == bits(want), (spec, lam, ref, normalized, z)
+                # the single-point path that 2-opt rescores each move with
+                scored = s.score(z)
+                assert type(scored) is float
+                assert bits(scored) == bits(want), ("score", spec, lam, ref, normalized, z)
                 nans += math.isnan(want)
                 seen.add((type(z), np.asarray(z).dtype.kind))
             if spec.kind == "chebycheff" and not normalized:
